@@ -37,7 +37,6 @@ from .partitions import (
     weyl_dimension,
 )
 from .plethysm import (
-    graded_entry_bound,
     leading_sum_bound,
     wedge_of_sym2,
     wedge_of_wedge2,

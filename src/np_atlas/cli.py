@@ -49,7 +49,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    # Exact dimensions can pass the int->str digit limit of Python >= 3.10.7,
+    # so lift it for this dump only; older versions have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(doc, sort_keys=True)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
@@ -61,11 +71,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             f"weight block lengths {tuple(len(b) for b in blocks)} do not match "
             f"quotient ranks {ranks} of {args.shape}"
         )
-    result = bbw_cohomology(BlockedWeight(blocks))
-    doc = result.to_json_dict()
-    if not result.vanishes:
-        doc["dimension"] = int(doc["dimension"])
-    _emit(doc)
+    _emit(bbw_cohomology(BlockedWeight(blocks)).to_json_dict())
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
 from .partitions import normalize, pad
 from .plethysm import SYM2, WEDGE2, wedge_of_sym2, wedge_of_wedge2
 from .schur import SchurSummand, tensor_decompose
-from .util import parallel_map
 
 
 class Family(Enum):
@@ -136,12 +135,18 @@ def decompose_ample(a: tuple[int, ...]) -> int:
     return min(gaps)
 
 
+def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients as a tuple, once their count matches the Picard rank k."""
+    a = tuple(a)
+    if len(a) != shape.k:
+        raise ValueError(f"expected {shape.k} line-bundle coefficients, got {len(a)}: {a}")
+    return a
+
+
 def line_bundle_weight(shape: FlagShape, a: tuple[int, ...]) -> BlockedWeight:
     """Constant-block weight of the line bundle with the given coefficients."""
     ranks = quotient_ranks(shape)
-    if len(a) != shape.k:
-        raise ValueError(f"expected {shape.k} coefficients, got {a}")
-    coeffs = tuple(a) + (0,)
+    coeffs = check_line_bundle(shape, a) + (0,)
     return BlockedWeight(tuple((c,) * r for c, r in zip(coeffs, ranks)))
 
 
@@ -192,9 +197,7 @@ def grassmannian_pushforward(shape: FlagShape, a: tuple[int, ...]) -> tuple[int,
 
     Requires the tail coefficients (a_2..a_k) to form a relatively nef chain.
     """
-    if len(a) != shape.k:
-        raise ValueError(f"expected {shape.k} coefficients, got {a}")
-    tail = tuple(a[1:])
+    tail = check_line_bundle(shape, a)[1:]
     if any(x < y for x, y in zip(tail, tail[1:])) or (tail and tail[-1] < 0):
         raise ValueError(f"tail coefficients {tail} are not relatively nef")
     ranks = quotient_ranks(shape)
@@ -204,20 +207,29 @@ def grassmannian_pushforward(shape: FlagShape, a: tuple[int, ...]) -> tuple[int,
     return pad(tuple(out), shape.dims[0])
 
 
-def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int) -> BlockedWeight:
-    """Blocked weight of the j-th G2 Koszul twist tensored with the line bundle."""
+def _g2_column(j: int) -> tuple[int, ...]:
+    """The length-j column of the j-th G2 Koszul term, padded to the rank-5 block."""
+    return pad((1,) * j, 5)
+
+
+def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int,
+                           tail: tuple[int, int] = (0, 0)) -> BlockedWeight:
+    """Blocked weight of the j-th G2 Koszul twist tensored with the line bundle.
+
+    tail twists the blocks after the rank-5 one: on G2_X it is the rank-2
+    block (a1, a2) itself; on G2_P, (t, s) adds t to the second coefficient's
+    block and makes s the last block.
+    """
     if spec.w_kind != W_G2:
         raise ValueError("not a G2 catalog entry")
     if not 0 <= j <= 5:
         raise ValueError("G2 Koszul terms exist for 0 <= j <= 5")
-    column = tuple(1 if t < j else 0 for t in range(5))
+    a = check_line_bundle(spec.shape, a)
+    block1 = tuple(x + a[0] - j for x in _g2_column(j))
+    x, y = tail
     if spec.family is Family.G2_X:
-        (l,) = a
-        block1 = tuple(x + l - j for x in column)
-        return BlockedWeight((block1, (0, 0)))
-    aa, bb = a
-    block1 = tuple(x + aa - j for x in column)
-    return BlockedWeight((block1, (bb,), (0,)))
+        return BlockedWeight((block1, (x, y)))
+    return BlockedWeight((block1, (a[1] + x,), (y,)))
 
 
 @dataclass(frozen=True)
@@ -250,13 +262,14 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     """
     if spec.w_kind == W_NONE:
         raise ValueError("variety has no defining bundle")
+    a = check_line_bundle(spec.shape, a)
     if positivity(a) != AMPLE:
         raise ValueError(f"line bundle {a} is not ample")
 
     tasks: list[tuple[int, tuple[int, ...], tuple[int, ...], int, BlockedWeight]] = []
     if spec.w_kind == W_G2:
         for j in range(1, 6):
-            column = tuple(1 if t < j else 0 for t in range(5))
+            column = _g2_column(j)
             tasks.append((j, column, column, 1, g2_koszul_twist_weight(spec, a, j)))
     else:
         n1 = spec.shape.dims[0]
@@ -268,9 +281,9 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
                     w = BlockedWeight(((a[0],) * r1, pad(beta_prime, n1)))
                     tasks.append((i, beta, beta_prime, mult, w))
 
-    results = parallel_map(bbw_cohomology, [t[4] for t in tasks])
     entries = []
-    for (deg, beta, beta_prime, mult, _), res in zip(tasks, results):
+    for deg, beta, beta_prime, mult, w in tasks:
+        res = bbw_cohomology(w)
         ok = res.vanishes or res.degree != deg
         entries.append(SurjectivityEntry(deg, beta, beta_prime, mult, res, ok))
     entries.sort(key=lambda e: (e.degree_required, e.beta, e.beta_prime))

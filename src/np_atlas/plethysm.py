@@ -76,13 +76,3 @@ def leading_sum_bound(kind: str, j: int, s: int) -> int:
     if kind == SYM2:
         return j + s * (s + 1) // 2
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def graded_entry_bound(kind: str, j: int, s: int) -> int:
-    """Bound for any s entries drawn across a graded-quotient block tuple.
-
-    Numerically identical to leading_sum_bound, but it applies to arbitrary
-    entries of the per-block partitions produced by filtration_quotients, not
-    just leading rows of one shape.
-    """
-    return leading_sum_bound(kind, j, s)

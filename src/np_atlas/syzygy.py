@@ -13,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bott import BlockedWeight, bbw_cohomology, flag_dimension
+from .bott import bbw_cohomology, flag_dimension
 from .geometry import (
     AMPLE,
     Family,
     FlagShape,
     NEF_NOT_AMPLE,
     VarietySpec,
+    check_line_bundle,
     decompose_ample,
+    g2_koszul_twist_weight,
     positivity,
     quotient_ranks,
 )
@@ -201,14 +203,8 @@ def _clause_for(family: str, spec: VarietySpec, l: int, p: int, certified: bool)
     return "BD:config-max"
 
 
-def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
-    """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if positivity(a) != AMPLE:
-        raise ValueError(f"line bundle {a} is not ample")
-    l = decompose_ample(a)
-    query = {
+def _query(spec: VarietySpec, a: tuple[int, ...], l: int, p: int) -> dict:
+    return {
         "family": spec.family.value,
         "shape": {"n": spec.shape.n, "dims": list(spec.shape.dims)},
         "line_bundle": list(a),
@@ -216,8 +212,16 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
         "p": p,
     }
 
+
+def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
+    """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
     if spec.family in (Family.G2_X, Family.G2_P):
         return g2_np_certify(spec, p, a=a)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    a = check_line_bundle(spec.shape, a)
+    l = decompose_ample(a)
+    query = _query(spec, a, l, p)
 
     if spec.family is Family.A:
         certified = l >= p
@@ -259,41 +263,26 @@ def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if spec.family is Family.G2_X:
-        if a is not None:
-            (l,) = a
-        if l is None or l < 1:
-            raise ValueError("need a gap l >= 1")
-        coeffs: tuple[int, ...] = (l,)
-        aa = bb = None
-    elif spec.family is Family.G2_P:
-        if a is None:
-            if l is None or l < 1:
-                raise ValueError("need a gap l >= 1 or explicit coefficients")
-            a = (2 * l, l)
-        aa, bb = a
-        l = min(aa - bb, bb)
-        if l < 1:
-            raise ValueError(f"coefficients {a} are not an ample gap-1 bundle")
-        coeffs = a
-    else:
+    if spec.family not in (Family.G2_X, Family.G2_P):
         raise ValueError("exhaustive certification covers only the two G2 varieties")
+    if a is None:
+        if l is None or l < 1:
+            raise ValueError("need a gap l >= 1 or explicit coefficients")
+        a = (l,) if spec.family is Family.G2_X else (2 * l, l)
+    a = check_line_bundle(spec.shape, a)
+    l = decompose_ample(a)
 
     dim = flag_dimension(quotient_ranks(spec.shape))
     trace = []
     violations = 0
     for j in range(6):
-        column = tuple(1 if t < j else 0 for t in range(5))
         for i in range(1, p + 2):
             if spec.family is Family.G2_X:
                 for t in range(i, i + dim + 6):
                     required = 1 + j - i + t
                     for a1 in range((t + 1) // 2, t + 1):
                         a2 = t - a1
-                        w = BlockedWeight(
-                            (tuple(x + l - j for x in column), (a1, a2))
-                        )
-                        res = bbw_cohomology(w)
+                        res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (a1, a2)))
                         ok = res.vanishes or res.degree != required
                         if not ok:
                             violations += 1
@@ -304,14 +293,7 @@ def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
                     for s in range(total + 1):
                         t = total - s
                         bound = j - i + s + t
-                        w = BlockedWeight(
-                            (
-                                tuple(x + aa - j for x in column),
-                                (bb + t,),
-                                (s,),
-                            )
-                        )
-                        res = bbw_cohomology(w)
+                        res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (t, s)))
                         ok = res.vanishes or res.degree <= bound
                         if not ok:
                             violations += 1
@@ -319,15 +301,8 @@ def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
                                       "ok" if ok else "violation"))
 
     certified = violations == 0
-    query = {
-        "family": spec.family.value,
-        "shape": {"n": spec.shape.n, "dims": list(spec.shape.dims)},
-        "line_bundle": list(coeffs),
-        "gap": l,
-        "p": p,
-    }
     return NpCertificate(
-        query,
+        _query(spec, a, l, p),
         CERTIFIED if certified else NOT_CERTIFIED,
         "G2:exhaustive-bbw" if certified else "none",
         Fraction(p),

@@ -17,8 +17,11 @@ from .bott import (
     inversion_bound,
 )
 from .geometry import (
+    FlagShape,
+    canonical_weight,
     g2_koszul_twist_weight,
     parse_variety,
+    quotient_ranks,
     restriction_surjectivity_check,
 )
 from .partitions import pad, weyl_dimension
@@ -28,11 +31,10 @@ from .schur import character_product, schur_character, tensor_decompose
 DEFAULT_SEED = 7
 
 
-def _random_shape(rng: random.Random, max_n: int) -> tuple[int, tuple[int, ...]]:
+def _random_shape(rng: random.Random, max_n: int) -> FlagShape:
     n = rng.randint(2, max_n)
     k = rng.randint(1, min(3, n - 1))
-    dims = tuple(sorted(rng.sample(range(1, n), k), reverse=True))
-    return n, dims
+    return FlagShape(n, tuple(sorted(rng.sample(range(1, n), k), reverse=True)))
 
 
 def suite_plethysm_dims() -> dict:
@@ -55,9 +57,9 @@ def suite_plethysm_dims() -> dict:
     return {"suite": "plethysm-dims", "pass": not failures, "failures": failures}
 
 
-def serre_dual(w: BlockedWeight, ranks: tuple[int, ...]) -> BlockedWeight:
+def serre_dual(w: BlockedWeight, shape: FlagShape) -> BlockedWeight:
     """Blockwise reversal-negation plus the canonical weight of the shape."""
-    canon = [b[0] for b in canonical_weight_blocks(ranks)]
+    canon = [b[0] for b in canonical_weight(shape).blocks]
     blocks = tuple(
         tuple(-x + c for x in reversed(b))
         for b, c in zip(w.blocks, canon)
@@ -65,27 +67,19 @@ def serre_dual(w: BlockedWeight, ranks: tuple[int, ...]) -> BlockedWeight:
     return BlockedWeight(blocks)
 
 
-def canonical_weight_blocks(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    blocks = []
-    for i, r in enumerate(ranks):
-        c = sum(ranks[:i]) - sum(ranks[i + 1:])
-        blocks.append((c,) * r)
-    return tuple(blocks)
-
-
 def suite_serre_duality(cases: int = 500, seed: int = DEFAULT_SEED) -> dict:
     """bbw(w) sits in degree d iff bbw(dual of w) sits in degree dim - d."""
     rng = random.Random(seed)
     failures = []
     for _ in range(cases):
-        n, dims = _random_shape(rng, 7)
-        ranks = quotient_ranks_of(n, dims)
+        shape = _random_shape(rng, 7)
+        ranks = quotient_ranks(shape)
         blocks = tuple(
             tuple(sorted((rng.randint(-4, 4) for _ in range(r)), reverse=True))
             for r in ranks
         )
         w = BlockedWeight(blocks)
-        dual = serre_dual(w, ranks)
+        dual = serre_dual(w, shape)
         res, res_dual = bbw_cohomology(w), bbw_cohomology(dual)
         dim = flag_dimension(ranks)
         if res.vanishes != res_dual.vanishes:
@@ -100,11 +94,6 @@ def suite_serre_duality(cases: int = 500, seed: int = DEFAULT_SEED) -> dict:
         "seed": seed,
         "failures": failures[:5],
     }
-
-
-def quotient_ranks_of(n: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    chain = (n,) + dims + (0,)
-    return tuple(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
 
 
 def suite_g2_lemma() -> dict:
@@ -159,9 +148,9 @@ def suite_bound_dominance(cases: int = 1000, seed: int = DEFAULT_SEED) -> dict:
     attempts = 0
     while ok < cases and attempts < cases * 50:
         attempts += 1
-        n, dims = _random_shape(rng, 8)
-        ranks = quotient_ranks_of(n, dims)
-        k = len(dims)
+        shape = _random_shape(rng, 8)
+        ranks = quotient_ranks(shape)
+        k = shape.k
         l = rng.randint(1, 3)
         coeffs = [l + rng.randint(0, 2)]
         for _ in range(k - 1):
@@ -176,7 +165,7 @@ def suite_bound_dominance(cases: int = 1000, seed: int = DEFAULT_SEED) -> dict:
             continue  # repeated shifted entries: outside the hypothesis
         ok += 1
         if report.exact_inversions > report.bound:
-            violations.append((n, dims, coeffs, alpha))
+            violations.append((shape.n, shape.dims, coeffs, alpha))
     return {
         "suite": "bound-dominance",
         "pass": ok >= cases and not violations,
@@ -220,13 +209,12 @@ SUITES = {
 
 
 def run_suite(name: str, cases: int | None = None, seed: int | None = None) -> dict:
+    """Run a suite; only the seeded suites take cases (at least 1) and seed."""
     if name not in SUITES:
         raise KeyError(name)
-    fn = SUITES[name]
-    kwargs = {}
-    if name in ("serre-duality", "bound-dominance"):
-        if cases is not None:
-            kwargs["cases"] = cases
-        if seed is not None:
-            kwargs["seed"] = seed
-    return fn(**kwargs)
+    kwargs = {k: v for k, v in (("cases", cases), ("seed", seed)) if v is not None}
+    if kwargs and name not in ("serre-duality", "bound-dominance"):
+        raise ValueError(f"suite {name!r} takes no --cases or --seed")
+    if cases is not None and cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {cases}")
+    return SUITES[name](**kwargs)

@@ -11,16 +11,11 @@ from math import comb
 
 from np_atlas.bott import BlockedWeight, bbw_cohomology
 from np_atlas.geometry import parse_variety
-from np_atlas.schur import (
-    character_product,
-    partitions_of,
-    schur_character,
-    tensor_decompose,
-)
 from np_atlas.syzygy import g2_np_certify, np_certify, np_threshold
 from np_atlas.verify import (
     suite_bound_dominance,
     suite_g2_lemma,
+    suite_lr_oracle,
     suite_plethysm_dims,
     suite_restriction_surjectivity,
     suite_serre_duality,
@@ -66,23 +61,8 @@ def test_criterion_3_plethysm_dimensions():
 
 def test_criterion_4_lr_oracle_equivalence():
     start = time.perf_counter()
-    shapes = [()]
-    for w in range(1, 6):
-        shapes.extend(partitions_of(w))
-    failures = []
-    for mu in shapes:
-        for nu in shapes:
-            expansion = tensor_decompose(mu, nu, max_length=10)
-            for m in range(1, 5):
-                lhs = character_product(schur_character(mu, m), schur_character(nu, m))
-                rhs = {}
-                for lam, mult in expansion:
-                    for expo, coeff in schur_character(lam, m).items():
-                        rhs[expo] = rhs.get(expo, 0) + mult * coeff
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    failures.append((mu, nu, m))
-    assert not failures, failures[:5]
+    summary = suite_lr_oracle(max_weight=5, max_vars=4)
+    assert summary["pass"], summary["failures"][:5]
     report(4, "tableau LR coefficients match the character oracle",
            time.perf_counter() - start, 30)
 

@@ -1,5 +1,10 @@
 import json
+import re
+import sys
 
+import pytest
+
+from np_atlas.bott import BlockedWeight, bbw_cohomology
 from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -38,6 +43,22 @@ def test_cohomology_block_mismatch(capsys):
     assert "quotient ranks" in err
 
 
+def test_cohomology_large_dimension(capsys):
+    # more than 4300 digits, past the default int->str limit of Python >= 3.10.7
+    n, step = 60, 1000
+    blocks = (tuple(step * (n - 2 - i) for i in range(n - 1)), (0,))
+    weight = ",".join("[" + ",".join(map(str, b)) + "]" for b in blocks)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "cohomology", "--shape", f"fl(1;{n})", "--weight", weight)
+    assert code == EXIT_OK
+    digits = re.search(r'"dimension": (\d+)', out).group(1)
+    expected = bbw_cohomology(BlockedWeight(blocks)).dimension
+    assert len(digits) > 4300
+    assert int(digits[:20]) == expected // 10 ** (len(digits) - 20)
+    assert int(digits[-20:]) == expected % 10 ** 20
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_cohomology_parse_error(capsys):
     code, _, err = run(capsys, "cohomology", "--shape", "fl(1;2)", "--weight", "3,0")
     assert code == EXIT_USAGE
@@ -62,6 +83,19 @@ def test_np_bad_bundle(capsys):
     code, _, err = run(capsys, "np", "--spec", "sfl(2;6)", "--L", "0", "--p", "1")
     assert code == EXIT_USAGE
     assert "ample" in err
+
+
+@pytest.mark.parametrize("spec, coeffs, k", [
+    ("sfl(6,5,3;12)", "3,2", 3),
+    ("sfl(6,5,3;12)", "4,3,2,1", 3),
+    ("g2x", "2,1", 1),
+    ("g2p", "3", 2),
+])
+def test_np_line_bundle_arity(capsys, spec, coeffs, k):
+    code, out, err = run(capsys, "np", "--spec", spec, "--L", coeffs, "--p", "1")
+    assert code == EXIT_USAGE
+    assert not out
+    assert f"expected {k} line-bundle coefficients" in err
 
 
 def test_np_threshold_full_flag(capsys):
@@ -96,6 +130,22 @@ def test_verify_seeded_suite(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["cases"] == 50 and doc["seed"] == 3
+
+
+def test_verify_rejects_cases_below_one(capsys):
+    for suite, cases in (("serre-duality", "-5"), ("bound-dominance", "0")):
+        code, out, err = run(capsys, "verify", suite, "--cases", cases)
+        assert code == EXIT_USAGE
+        assert not out
+        assert "--cases must be at least 1" in err
+
+
+def test_verify_rejects_options_the_suite_ignores(capsys):
+    for option in ("--seed", "--cases"):
+        code, out, err = run(capsys, "verify", "g2-lemma", option, "3")
+        assert code == EXIT_USAGE
+        assert not out
+        assert "takes no --cases or --seed" in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -15,6 +15,7 @@ from np_atlas.geometry import (
     W_WEDGE2,
     VarietySpec,
     canonical_weight,
+    check_line_bundle,
     decompose_ample,
     g2_koszul_twist_weight,
     grassmannian_pushforward,
@@ -186,9 +187,13 @@ def test_g2_koszul_twist_weight():
     gx = parse_variety("g2x")
     w = g2_koszul_twist_weight(gx, (4,), 2)
     assert w.blocks == ((3, 3, 2, 2, 2), (0, 0))
+    w = g2_koszul_twist_weight(gx, (4,), 2, (3, 1))
+    assert w.blocks == ((3, 3, 2, 2, 2), (3, 1))
     gp = parse_variety("g2p")
     w = g2_koszul_twist_weight(gp, (3, 1), 1)
     assert w.blocks == ((3, 2, 2, 2, 2), (1,), (0,))
+    w = g2_koszul_twist_weight(gp, (3, 1), 1, (2, 5))
+    assert w.blocks == ((3, 2, 2, 2, 2), (3,), (5,))
     with pytest.raises(ValueError):
         g2_koszul_twist_weight(parse_variety("sfl(2;6)"), (1,), 1)
 
@@ -204,9 +209,10 @@ def test_restriction_surjectivity_small_cases():
         restriction_surjectivity_check(parse_variety("fl(2;6)"), (1,))
 
 
-def test_restriction_surjectivity_threads(monkeypatch):
-    spec = parse_variety("sfl(2,1;6)")
-    serial = restriction_surjectivity_check(spec, (2, 1))
-    monkeypatch.setenv("NP_ATLAS_THREADS", "4")
-    threaded = restriction_surjectivity_check(spec, (2, 1))
-    assert serial == threaded
+def test_line_bundle_arity():
+    assert check_line_bundle(FlagShape(12, (6, 5, 3)), [3, 2, 1]) == (3, 2, 1)
+    for token, a, k in (("sfl(2,1;6)", (2,), 2), ("g2x", (2, 1), 1), ("g2p", (3,), 2)):
+        with pytest.raises(ValueError, match=f"expected {k} line-bundle coefficients"):
+            restriction_surjectivity_check(parse_variety(token), a)
+    with pytest.raises(ValueError, match="expected 1 line-bundle coefficients"):
+        g2_koszul_twist_weight(parse_variety("g2x"), (2, 1), 1)

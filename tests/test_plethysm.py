@@ -6,7 +6,6 @@ from np_atlas.partitions import conjugate, pad, weyl_dimension
 from np_atlas.plethysm import (
     SYM2,
     WEDGE2,
-    graded_entry_bound,
     leading_sum_bound,
     wedge_of_sym2,
     wedge_of_wedge2,
@@ -53,9 +52,9 @@ def test_leading_sum_bound_examples():
     assert leading_sum_bound(WEDGE2, 2, 1) == 2
     assert leading_sum_bound(SYM2, 2, 1) == 3
     assert leading_sum_bound(WEDGE2, 3, 2) == 4
-    assert graded_entry_bound(WEDGE2, 2, 2) == 3
-    assert graded_entry_bound(SYM2, 1, 1) == 2
-    assert graded_entry_bound(WEDGE2, 0, 3) == 3
+    assert leading_sum_bound(WEDGE2, 2, 2) == 3
+    assert leading_sum_bound(SYM2, 1, 1) == 2
+    assert leading_sum_bound(WEDGE2, 0, 3) == 3
     with pytest.raises(ValueError):
         leading_sum_bound("other", 1, 1)
 
@@ -94,7 +93,7 @@ def compositions_up_to(total_cap, length_cap):
     return out
 
 
-def test_graded_entry_bound_on_filtration_quotients():
+def test_leading_sum_bound_on_filtration_quotients():
     # any s entries across a quotient tuple of a wedge2 constituent obey the bound
     for j in range(4):
         for alpha in wedge_of_wedge2(j, None):
@@ -106,7 +105,7 @@ def test_graded_entry_bound_on_filtration_quotients():
                         (x for rho in summand.shape for x in rho), reverse=True
                     )
                     for s in range(1, len(entries) + 1):
-                        assert sum(entries[:s]) <= graded_entry_bound(WEDGE2, j, s), (
+                        assert sum(entries[:s]) <= leading_sum_bound(WEDGE2, j, s), (
                             j,
                             alpha,
                             ranks,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -174,3 +175,32 @@ def test_np_certify_routes_g2():
     cert = np_certify(parse_variety("g2x"), (2,), 2)
     assert cert.certified
     assert cert.clause == "G2:exhaustive-bbw"
+
+
+# sha256 of the canonical certificate JSON, keyed by (variety, p, l): pins every
+# trace row of the exhaustive sweep, not just the verdict
+G2_CERTIFICATE_DIGESTS = {
+    ("g2x", 1, 1): "4e65b4b5002ec2dc50f0d1702f8e3cf10f7a65b875eb77fbf0047124b9845024",
+    ("g2x", 1, 2): "a6e362d1437daa693112b7cdaf82fa1442a36267c816dd3b43ae69d28cd4d727",
+    ("g2x", 2, 2): "48f884efef314f9b79f21df9cb6017b386c145ea2aba71fdcf94129fba7d8f95",
+    ("g2x", 2, 3): "0c6af686ba99286bd9b63aaf65cb746d8319437fa3695fc88a1b43e3903944db",
+    ("g2x", 3, 3): "344bab5163a9d8fce60b5db3e9ff0dd087ff327d3c08f515bac032e971efa7b0",
+    ("g2x", 3, 4): "cd810906d1e0b14ac4ec33bdfbf31611024178d7554067d082b557d6b115238d",
+    ("g2p", 1, 1): "68a936d9513883466d65a11eb37361b04d8db80d87d49463799f46bb02319ebe",
+    ("g2p", 1, 2): "70cfa93a49d24170b41a344d56e782a9150e79e6aaea82401fa6798a07962400",
+    ("g2p", 2, 2): "162fdb28c380ccecfa98363c51d1db55e60c54c92d64025cdec93ec54557fd07",
+    ("g2p", 2, 3): "938ea9b03a767a75297a4aabc09c3e37ac2ff45102a4a770772a0d4f3634b70a",
+    ("g2p", 3, 3): "afcfcf24ea32c50410ec86a4e4cd5d6c1cd9fc5e24ac10d06a6216e9e02bf7a7",
+    ("g2p", 3, 4): "96e7a58d5ac5207751d2bee54e05b37e0b8a7644dc4e178e0b0057fa3543a599",
+}
+
+
+def test_g2_certificates_pinned():
+    for (token, p, l), digest in G2_CERTIFICATE_DIGESTS.items():
+        spec = parse_variety(token)
+        if token == "g2x":
+            cert = g2_np_certify(spec, p, l=l)
+        else:
+            cert = g2_np_certify(spec, p, a=(2 * l, l))
+        text = json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (token, p, l)
