@@ -135,9 +135,16 @@ def decompose_ample(a: tuple[int, ...]) -> int:
     return min(gaps)
 
 
+def check_int(name: str, value: int) -> int:
+    """value itself, once its type is exactly int: bools and floats are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients as a tuple, once their count matches the Picard rank k."""
-    a = tuple(a)
+    """The integer coefficients as a tuple, once their count is the Picard rank k."""
+    a = tuple(check_int("line-bundle coefficient", x) for x in a)
     if len(a) != shape.k:
         raise ValueError(f"expected {shape.k} line-bundle coefficients, got {len(a)}: {a}")
     return a

@@ -4,8 +4,10 @@ The B/C/D certifier evaluates a closed-form rational threshold: the maximum,
 over block configurations, of (p+1)/s + (s-1)/2 - sum(s_j^2)/s in the
 symplectic case and the analogue with (s+1)/2 in the orthogonal case.  The
 gap l of the queried bundle certifies (N_p) exactly when l is at least the
-threshold; comparisons are exact rationals throughout, never floats.  The G2
-certifier replaces closed forms with an exhaustive Bott-Borel-Weil sweep.
+threshold.  Each row is an integer numerator over 2s and comparisons
+cross-multiply integers, so the arithmetic stays exact and never uses floats.
+The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
+sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .geometry import (
     FlagShape,
     NEF_NOT_AMPLE,
     VarietySpec,
+    check_int,
     check_line_bundle,
     decompose_ample,
     g2_koszul_twist_weight,
@@ -103,17 +106,21 @@ def _min_square_configs(ranks: tuple[int, ...]) -> list[tuple[int, tuple[int, ..
 
     Spreading units as evenly as the caps allow minimizes the square sum, so
     the maximum of the threshold expression over all configurations is
-    attained on one of these.
+    attained on one of these.  Units are placed level by level: level L adds
+    one unit to each block of rank above L, in index order.  That is the
+    greedy choice of the least-filled open block, lowest index on ties, and
+    each unit raises the square sum by 2L + 1.
     """
     config = [0] * len(ranks)
     out = []
-    for s in range(1, sum(ranks) + 1):
-        idx = min(
-            (i for i in range(len(ranks)) if config[i] < ranks[i]),
-            key=lambda i: (config[i], i),
-        )
-        config[idx] += 1
-        out.append((s, tuple(config), sum(x * x for x in config)))
+    s = sq = 0
+    for level in range(max(ranks)):
+        for i, r in enumerate(ranks):
+            if r > level:
+                config[i] += 1
+                s += 1
+                sq += 2 * level + 1
+                out.append((s, tuple(config), sq))
     return out
 
 
@@ -134,21 +141,23 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     """
     if family not in (TYPE_C, TYPE_BD):
         raise ValueError(f"unknown family {family!r}")
-    if p < 1:
+    if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
-    ranks = tuple(ranks)
+    ranks = tuple(check_int("rank", r) for r in ranks)
     if not ranks or any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
     sign = -1 if family == TYPE_C else 1
     table = []
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    best = None  # (num, den, value, config) of the first maximal row
     for s, config, sq in _min_square_configs(ranks):
-        value = Fraction(p + 1, s) + Fraction(s + sign, 2) - Fraction(sq, s)
+        # (p+1)/s + (s+sign)/2 - sq/s over the common denominator 2s
+        num, den = 2 * (p + 1) + s * (s + sign) - 2 * sq, 2 * s
+        value = Fraction(num, den)
         table.append((s, config, value))
-        if best is None or value > best[0]:
-            best = (value, config)
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den, value, config)
     assert best is not None
-    return ThresholdResult(best[0], best[1], tuple(table))
+    return ThresholdResult(best[2], best[3], tuple(table))
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
     if spec.family in (Family.G2_X, Family.G2_P):
         return g2_np_certify(spec, p, a=a)
-    if p < 1:
+    if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     a = check_line_bundle(spec.shape, a)
     l = decompose_ample(a)
@@ -237,11 +246,13 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     family = TYPE_C if spec.family is Family.C else TYPE_BD
     tail_ranks = quotient_ranks(spec.shape)[1:]
     thr = np_threshold(family, tail_ranks, p)
-    certified = Fraction(l) >= thr.value
+    thr_num, thr_den = thr.value.numerator, thr.value.denominator
+    certified = l * thr_den >= thr_num
+    # rows within 1 of the threshold, value > thr - 1, cross-multiplied
     trace = tuple(
         (s, list(config), value.numerator, value.denominator)
         for s, config, value in thr.per_s
-        if value > thr.value - 1
+        if value.numerator * thr_den > (thr_num - thr_den) * value.denominator
     )
     return NpCertificate(
         query,
@@ -261,12 +272,12 @@ def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
     degrees above the ambient dimension are discarded; every required
     Bott-Borel-Weil evaluation is run and recorded in the trace.
     """
-    if p < 1:
+    if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     if spec.family not in (Family.G2_X, Family.G2_P):
         raise ValueError("exhaustive certification covers only the two G2 varieties")
     if a is None:
-        if l is None or l < 1:
+        if l is None or check_int("gap l", l) < 1:
             raise ValueError("need a gap l >= 1 or explicit coefficients")
         a = (l,) if spec.family is Family.G2_X else (2 * l, l)
     a = check_line_bundle(spec.shape, a)

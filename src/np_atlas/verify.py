@@ -8,6 +8,8 @@ reports a deterministic pass/fail summary.  Randomized suites are seeded.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .bott import (
@@ -27,6 +29,7 @@ from .geometry import (
 from .partitions import pad, weyl_dimension
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import character_product, schur_character, tensor_decompose
+from .syzygy import TYPE_BD, TYPE_C, np_threshold
 
 DEFAULT_SEED = 7
 
@@ -35,6 +38,11 @@ def _random_shape(rng: random.Random, max_n: int) -> FlagShape:
     n = rng.randint(2, max_n)
     k = rng.randint(1, min(3, n - 1))
     return FlagShape(n, tuple(sorted(rng.sample(range(1, n), k), reverse=True)))
+
+
+def _check_cases(cases: int) -> None:
+    if cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {cases}")
 
 
 def suite_plethysm_dims() -> dict:
@@ -69,6 +77,7 @@ def serre_dual(w: BlockedWeight, shape: FlagShape) -> BlockedWeight:
 
 def suite_serre_duality(cases: int = 500, seed: int = DEFAULT_SEED) -> dict:
     """bbw(w) sits in degree d iff bbw(dual of w) sits in degree dim - d."""
+    _check_cases(cases)
     rng = random.Random(seed)
     failures = []
     for _ in range(cases):
@@ -142,6 +151,7 @@ def suite_restriction_surjectivity(gaps: tuple[int, ...] = (1, 2, 3)) -> dict:
 
 def suite_bound_dominance(cases: int = 1000, seed: int = DEFAULT_SEED) -> dict:
     """Randomized dominance of the config bound over exact inversion counts."""
+    _check_cases(cases)
     rng = random.Random(seed)
     ok = 0
     violations = []
@@ -198,6 +208,48 @@ def suite_lr_oracle(max_weight: int = 4, max_vars: int = 3) -> dict:
     return {"suite": "lr-oracle", "pass": not failures, "failures": failures}
 
 
+def _threshold_expression(family: str, p: int, s: int, sq: int) -> Fraction:
+    """(p+1)/s + (s-1)/2 - sq/s for C, with (s+1)/2 for BD; sq is sum(s_j^2)."""
+    half = Fraction(s - 1 if family == TYPE_C else s + 1, 2)
+    return Fraction(p + 1, s) + half - Fraction(sq, s)
+
+
+def suite_threshold_oracle() -> dict:
+    """np_threshold is the maximum of its expression over every configuration.
+
+    Brute force over all 0 <= s_i <= r_i with s >= 1, for rank tuples of
+    length <= 4 with parts <= 4 and p = 1..10: an independent check on the
+    minimal-square configurations np_threshold searches instead.
+    """
+    failures = []
+    checked = 0
+    for length in range(1, 5):
+        for ranks in product(range(1, 5), repeat=length):
+            configs = {c for c in product(*(range(r + 1) for r in ranks)) if any(c)}
+            # the expression sees a configuration only through s and sum(s_j^2),
+            # and for a fixed s it falls as the square sum grows
+            min_sq: dict[int, int] = {}
+            for c in configs:
+                s, sq = sum(c), sum(x * x for x in c)
+                min_sq[s] = min(sq, min_sq.get(s, sq))
+            for family in (TYPE_C, TYPE_BD):
+                for p in range(1, 11):
+                    best = max(_threshold_expression(family, p, s, sq)
+                               for s, sq in min_sq.items())
+                    thr = np_threshold(family, ranks, p)
+                    w = thr.witness_config
+                    at_witness = _threshold_expression(family, p, sum(w), sum(x * x for x in w))
+                    checked += 1
+                    if thr.value != best or at_witness != best or w not in configs:
+                        failures.append((family, ranks, p))
+    return {
+        "suite": "threshold-oracle",
+        "pass": not failures,
+        "checked": checked,
+        "failures": failures[:5],
+    }
+
+
 SUITES = {
     "plethysm-dims": suite_plethysm_dims,
     "serre-duality": suite_serre_duality,
@@ -205,16 +257,15 @@ SUITES = {
     "restriction-surjectivity": suite_restriction_surjectivity,
     "bound-dominance": suite_bound_dominance,
     "lr-oracle": suite_lr_oracle,
+    "threshold-oracle": suite_threshold_oracle,
 }
 
 
 def run_suite(name: str, cases: int | None = None, seed: int | None = None) -> dict:
-    """Run a suite; only the seeded suites take cases (at least 1) and seed."""
+    """Run a suite; only the seeded suites take cases and seed."""
     if name not in SUITES:
-        raise KeyError(name)
+        raise ValueError(f"unknown verification suite {name!r}")
     kwargs = {k: v for k, v in (("cases", cases), ("seed", seed)) if v is not None}
     if kwargs and name not in ("serre-duality", "bound-dominance"):
         raise ValueError(f"suite {name!r} takes no --cases or --seed")
-    if cases is not None and cases < 1:
-        raise ValueError(f"--cases must be at least 1, got {cases}")
     return SUITES[name](**kwargs)

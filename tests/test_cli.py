@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from np_atlas import verify
 from np_atlas.bott import BlockedWeight, bbw_cohomology
 from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, main
 
@@ -146,6 +147,22 @@ def test_verify_rejects_options_the_suite_ignores(capsys):
         assert code == EXIT_USAGE
         assert not out
         assert "takes no --cases or --seed" in err
+
+
+def test_verify_threshold_oracle(capsys):
+    code, out, _ = run(capsys, "verify", "threshold-oracle")
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
+def test_verify_surfaces_key_error_from_a_suite(monkeypatch, capsys):
+    def broken_suite():
+        raise KeyError("missing")
+
+    monkeypatch.setitem(verify.SUITES, "plethysm-dims", broken_suite)
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify", "plethysm-dims"])
+    assert not capsys.readouterr().out
 
 
 def test_verify_unknown_suite(capsys):

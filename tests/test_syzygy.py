@@ -83,6 +83,10 @@ def test_np_threshold_remark_values():
     thr = np_threshold("C", (1, 1, 1, 1, 1, 1), 1)
     assert thr.value == Fraction(11, 6)
     assert thr.witness_config == (1, 1, 1, 1, 1, 1)
+    # s = 1 and s = 4 tie at 1: the witness is the first maximal row
+    thr = np_threshold("C", (1, 1, 1, 1), 1)
+    assert thr.value == 1
+    assert thr.witness_config == (1, 0, 0, 0)
 
 
 def test_np_threshold_bd_small_picard():
@@ -204,3 +208,68 @@ def test_g2_certificates_pinned():
             cert = g2_np_certify(spec, p, a=(2 * l, l))
         text = json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (token, p, l)
+
+
+# sha256 of the canonical certificate JSON, keyed by (variety, p, gap l): l is
+# ceil(threshold) and the positive gap just below it, so both verdicts and the
+# trace rows within 1 of the threshold are pinned
+BCD_CERTIFICATE_DIGESTS = {
+    ("sfl(6,5,3;12)", 1, 1): "31857701575cc5368199e4679b53efca990bc9b3806fc8d656c304c3c2c477f4",
+    ("sfl(6,5,3;12)", 2, 1): "2ec28261ea4ef5365a93089d730749a374dc86a21a74cce3d1e59c73e98e3e31",
+    ("sfl(6,5,3;12)", 2, 2): "ba5830b7df771739c9b15583b95802c907278a9001146324d6be6432d7088478",
+    ("sfl(6,5,3;12)", 3, 2): "31817f6cc36f55836a40dfcffb7be41a45bb62fce4022c753f87bd6070d40632",
+    ("sfl(6,5,3;12)", 3, 3): "7ed4415065b9abf23134a0c8722a180ef6aa826cca3d18c044573a50e7a0aebd",
+    ("sfl(6,5,3;12)", 4, 3): "7a00e365ab5369525cef0c9d32ddbd200b50ed8cf7237289f5afe51179fdf211",
+    ("sfl(6,5,3;12)", 4, 4): "b0b239c47e3dbf4ce3febb845e0f4cd467b579041770ef67e66ce7024dc4a9b9",
+    ("sfl(3,2,1;8)", 1, 1): "a3aa2f231a1e0c3750699ca1b532b9d2ff3c3aca2ad810a230a72de2b85df6bc",
+    ("sfl(3,2,1;8)", 2, 1): "02e30395e42e6f28e8c1101a186d929cf857f933496e9c88c68e061c475e33cf",
+    ("sfl(3,2,1;8)", 2, 2): "ad6efec19baeac8452931c35edf6e7966604d628f8ad3296842da6edcf04c717",
+    ("sfl(3,2,1;8)", 3, 2): "7e91100bbef046b7be1efe1cfcf003303b55e297a72bb07661aeb2e102f6531c",
+    ("sfl(3,2,1;8)", 3, 3): "b383b237bf10caae00d73a982b4b144fc5e8c4896196e89a0c57ec7970d01c08",
+    ("sfl(3,2,1;8)", 4, 3): "221b98689a898912f7bc7e7d67d1e365dd2d10a2369b05515eb254b439c7eda2",
+    ("sfl(3,2,1;8)", 4, 4): "3220a750059947db21a798fc127943b64037f0611b521174af0c7fe8e78c7f7d",
+    ("ofl(2,1;7)", 1, 1): "f104635efd123d8086586643bc7d7233bc37e7204f631c21c490d782a44318ce",
+    ("ofl(2,1;7)", 1, 2): "20345679e40f86876885531432d58d176286734a9d70ebfd81218b0869fdb242",
+    ("ofl(2,1;7)", 2, 2): "3a811043ec072bbaed7b99321123401105c9667513187cc4414950a5d2d97137",
+    ("ofl(2,1;7)", 2, 3): "5330124a8767129487b3a9d683528ad1fcbb1761cce9ed7540fd7500c7d3a078",
+    ("ofl(2,1;7)", 3, 3): "8821fe91cd2362149f784d66ff6a32bd51457a448418a98e97fde99d29386fde",
+    ("ofl(2,1;7)", 3, 4): "ee6dc009a41b0f6d54567aca9e80c685245390dcd5f28588cb5fe2cceb6c6ba4",
+    ("ofl(2,1;7)", 4, 4): "366c85cf294307cadd8908e834f428f77c7a797f7a52edb9e7b8e9f58c6d26ea",
+    ("ofl(2,1;7)", 4, 5): "02bd0dea06af3a4833b0647e93e9ecba6ab1e6f198e409ad2e0150fcda1a7a59",
+    ("ofl(3,1;9)", 1, 1): "98ef7b916f2e8f49f08d082b5d7c6488508c2b80dfd15902a3388c9246f8c3e0",
+    ("ofl(3,1;9)", 1, 2): "0a2894584d90a58de1ab293691b15b979b2dfef4a11a3ebb512e1c7efaa7005a",
+    ("ofl(3,1;9)", 2, 2): "556bcc172f49f2abb1fafd2292e1ab4ebf520125829c71839e7cea466c961ca4",
+    ("ofl(3,1;9)", 2, 3): "b8993d8f1c2cb51382b276720f69c613a67e21f13a041fa7833c19ad17562e94",
+    ("ofl(3,1;9)", 3, 3): "6253211bb6919744e7a7495d5878c09c6eaa6480c9a38d75b0ff5c57f9f3e6da",
+    ("ofl(3,1;9)", 3, 4): "dcce0030177579ce515e16521a3d91fe5bbad995eb5ccb2a25f42a41b91942cd",
+    ("ofl(3,1;9)", 4, 4): "d348cd1a9bffcd69cfceded278727bd2ef6bc2b63e6793b2061e030c7a001758",
+    ("ofl(3,1;9)", 4, 5): "16d448f1baef566383faa3eb7c409a920556fb6e826ebcb825c924ca417e698e",
+}
+
+
+def test_bcd_certificates_pinned():
+    for (token, p, l), digest in BCD_CERTIFICATE_DIGESTS.items():
+        spec = parse_variety(token)
+        k = spec.shape.k
+        cert = np_certify(spec, tuple(l * (k - i) for i in range(k)), p)
+        text = json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (token, p, l)
+
+
+def test_integer_inputs_only():
+    spec = parse_variety("sfl(3,2,1;8)")
+    gx = parse_variety("g2x")
+    for p in (1.5, True):
+        with pytest.raises(ValueError, match="p must be an int"):
+            np_threshold("C", (2,), p)
+        with pytest.raises(ValueError, match="p must be an int"):
+            np_certify(spec, (3, 2, 1), p)
+        with pytest.raises(ValueError, match="p must be an int"):
+            g2_np_certify(gx, p, l=1)
+    with pytest.raises(ValueError, match="rank must be an int"):
+        np_threshold("C", (2.0,), 1)
+    for l in (1.0, True):
+        with pytest.raises(ValueError, match="gap l must be an int"):
+            g2_np_certify(gx, 1, l=l)
+    with pytest.raises(ValueError, match="line-bundle coefficient must be an int"):
+        np_certify(spec, (3, 2, 1.0), 1)
