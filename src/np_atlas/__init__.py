@@ -46,6 +46,7 @@ from .schur import (
     filtration_quotients,
     lr_coefficient,
     schur_character,
+    skew_decompose,
     tensor_decompose,
 )
 from .syzygy import (

@@ -19,8 +19,14 @@ class FrobeniusForm(NamedTuple):
 
 
 def normalize(parts: Iterable[int]) -> tuple[int, ...]:
-    """Canonicalize a weakly decreasing sequence by stripping trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    """Canonicalize a weakly decreasing sequence by stripping trailing zeros.
+
+    Every entry must be exactly an int: floats and bools are refused rather
+    than truncated.
+    """
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise ValueError(f"partition entries must be ints: {p}")
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError(f"not weakly decreasing: {p}")

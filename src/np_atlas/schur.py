@@ -1,9 +1,10 @@
 """Littlewood-Richardson coefficients and Schur-power combinatorics.
 
-Two genuinely different algorithms live here on purpose: lr_coefficient
-counts lattice skew tableaux directly, while schur_character sums over
-semistandard tableaux and serves as an independent cross-check of the whole
-tensor calculus.
+Two genuinely different algorithms live here on purpose.  LR coefficients,
+skew decompositions and tensor products all come from one walk over the
+lattice skew tableaux of a shape, which returns every content at once;
+schur_character sums over semistandard tableaux and serves as an independent
+cross-check of the whole tensor calculus.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .partitions import conjugate, contains, normalize, pad, weight
+from .partitions import contains, normalize, pad, weight
 
 
 class SchurSummand(NamedTuple):
@@ -42,66 +43,48 @@ def partitions_of(n: int, max_part: int | None = None,
     yield from rec(n, max_part, max_length)
 
 
-def subpartitions_of(outer: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n contained in the diagram of outer."""
-    outer = normalize(outer)
-
-    def rec(idx, remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        if idx >= len(outer):
-            return
-        top = min(cap, outer[idx], remaining)
-        for first in range(top, 0, -1):
-            for rest in rec(idx + 1, remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(0, n, n)
-
-
-def _count_lr_tableaux(lam: tuple[int, ...], mu: tuple[int, ...],
-                       nu: tuple[int, ...]) -> int:
-    """Count LR skew tableaux of shape lam/mu and content nu.
+def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...], cap: tuple[int, ...] | None = None,
+                 max_length: int | None = None) -> dict[tuple[int, ...], int]:
+    """Count LR skew tableaux of shape lam/mu (mu inside lam), binned by content.
 
     Cells are filled in reading order (top row to bottom, right to left
-    within a row) so the lattice-word condition can be enforced on the fly.
+    within a row) so the lattice-word condition can be enforced on the fly;
+    it keeps the value counts weakly decreasing, so each content is a
+    partition.  An entry in row i (0-based) is at most i + 1 and at most
+    max_length; with cap, value v is used at most cap[v - 1] times.  The
+    walk follows the skew-tableau iterator of Buch's lrcalc
+    (https://sites.math.rutgers.edu/~asbuch/lrcalc/).
     """
     rows = len(lam)
-    mu_p = pad(mu, rows)
-    cells = []
-    for i in range(rows):
-        for j in range(lam[i] - 1, mu_p[i] - 1, -1):
-            cells.append((i, j))
-    filling: dict[tuple[int, int], int] = {}
-    content = list(nu) + [0]  # sentinel so v+1 lookups are safe
-    counts = [0] * (len(nu) + 1)
+    mu = pad(mu, rows)
+    cells = [(i, j) for i in range(rows) for j in range(lam[i] - 1, mu[i] - 1, -1)]
+    top = rows if max_length is None else min(rows, max_length)
+    if cap is not None:
+        top = min(top, len(cap))
+    grid = [[0] * r for r in lam]
+    counts = [0] * top
+    out: dict[tuple[int, ...], int] = {}
 
-    def rec(pos: int) -> int:
+    def rec(pos: int) -> None:
         if pos == len(cells):
-            return 1
+            content = tuple(c for c in counts if c)
+            out[content] = out.get(content, 0) + 1
+            return
         i, j = cells[pos]
-        right = filling.get((i, j + 1))
-        above = filling.get((i - 1, j)) if i > 0 and j >= mu_p[i - 1] else None
-        total = 0
-        for v in range(1, len(nu) + 1):
-            if counts[v - 1] >= content[v - 1]:
-                continue  # rows of the recording content filled in order
-            if right is not None and v > right:
+        hi = min(i + 1, top, grid[i][j + 1]) if j + 1 < lam[i] else min(i + 1, top)
+        lo = grid[i - 1][j] + 1 if i > 0 and j >= mu[i - 1] else 1
+        for v in range(lo, hi + 1):
+            if v > 1 and counts[v - 1] >= counts[v - 2]:
+                continue  # lattice condition: prefix counts stay weakly decreasing
+            if cap is not None and counts[v - 1] >= cap[v - 1]:
                 continue
-            if above is not None and v <= above:
-                continue
-            # lattice condition: prefix counts stay weakly decreasing in v
-            if v > 1 and counts[v - 1] + 1 > counts[v - 2]:
-                continue
-            filling[(i, j)] = v
+            grid[i][j] = v
             counts[v - 1] += 1
-            total += rec(pos + 1)
+            rec(pos + 1)
             counts[v - 1] -= 1
-            del filling[(i, j)]
-        return total
 
-    return rec(0)
+    rec(0)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -113,25 +96,32 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
         return 0
     if not contains(lam, mu) or not contains(lam, nu):
         return 0
-    return _count_lr_tableaux(lam, mu, nu)
+    return _lr_fillings(lam, mu, cap=nu).get(nu, 0)
+
+
+def skew_decompose(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The skew Schur function s_{lam/mu} as {nu: c^lam_{mu,nu}}, from one walk."""
+    lam, mu = normalize(lam), normalize(mu)
+    if not contains(lam, mu):
+        return {}
+    return _lr_fillings(lam, mu)
 
 
 def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
                      max_length: int) -> list[SchurSummand]:
     """Complete decomposition of S^mu (x) S^nu into Schur summands.
 
-    Only shapes of length <= max_length are reported.
+    Only shapes of length <= max_length are reported.  s_mu * s_nu is the
+    skew Schur function of the disconnected shape (mu + nu_1^len(mu), nu)
+    over (nu_1^len(mu)), so one walk over that shape finds every summand.
     """
     mu, nu = normalize(mu), normalize(nu)
-    total = weight(mu) + weight(nu)
-    out = []
-    max_part = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-    for lam in partitions_of(total, max_part=max_part, max_length=max_length):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out.append(SchurSummand(lam, c))
-    out.sort(key=lambda s: s.shape)
-    return out
+    if type(max_length) is not int or max_length < 0:
+        raise ValueError(f"max_length must be a non-negative int, got {max_length!r}")
+    shift = nu[0] if nu else 0
+    lam = tuple(m + shift for m in mu) + nu
+    fillings = _lr_fillings(lam, (shift,) * len(mu), max_length=max_length)
+    return sorted(SchurSummand(shape, c) for shape, c in fillings.items())
 
 
 @lru_cache(maxsize=None)
@@ -184,25 +174,15 @@ def character_product(a: dict[tuple[int, ...], int],
 
 @lru_cache(maxsize=None)
 def _mult_in_product(target: tuple[int, ...], shapes: tuple[tuple[int, ...], ...]) -> int:
-    """Multiplicity of S^target in the iterated product of the given shapes."""
+    """Multiplicity of S^target in the iterated product of the given shapes.
+
+    Peels one shape at a time: the multiplicity is the sum over nu of
+    c^target_{shapes[0], nu} times that of S^nu in the product of the rest.
+    """
     if not shapes:
         return 1 if target == () else 0
-    # fold left-to-right, pruning intermediates that cannot grow into target
-    current: dict[tuple[int, ...], int] = {shapes[0]: 1}
-    if not contains(target, shapes[0]):
-        return 0
-    for nxt in shapes[1:]:
-        grown: dict[tuple[int, ...], int] = {}
-        for lam, mult in current.items():
-            for summand in tensor_decompose(lam, nxt, max_length=len(target) or 1):
-                if not contains(target, summand.shape):
-                    continue
-                grown[summand.shape] = grown.get(summand.shape, 0) \
-                    + mult * summand.multiplicity
-        current = grown
-        if not current:
-            return 0
-    return current.get(target, 0)
+    return sum(c * _mult_in_product(nu, shapes[1:])
+               for nu, c in skew_decompose(target, shapes[0]).items())
 
 
 def filtration_quotients(alpha: tuple[int, ...],
@@ -214,24 +194,27 @@ def filtration_quotients(alpha: tuple[int, ...],
     """
     alpha = normalize(alpha)
     ranks = tuple(ranks)
+    if any(type(r) is not int or r < 0 for r in ranks):
+        raise ValueError(f"block ranks must be non-negative ints: {ranks}")
     if len(alpha) > sum(ranks):
         raise ValueError(f"partition {alpha} too long for total rank {sum(ranks)}")
     total = weight(alpha)
     out = []
-
-    def shapes_of(w: int, r: int):
-        return [()] if w == 0 else partitions_of(w, max_length=r)
+    # shapes_of[r][w]: block shapes of weight w and length <= r inside alpha;
+    # a block shape outside alpha has multiplicity 0 in every product
+    shapes_of = {r: [[rho for rho in partitions_of(w, max_length=r) if contains(alpha, rho)]
+                     for w in range(total + 1)] for r in set(ranks)}
 
     def rec(block: int, remaining: int, acc: tuple[tuple[int, ...], ...]) -> None:
         if block == len(ranks) - 1:
-            for rho in shapes_of(remaining, ranks[block]):
+            for rho in shapes_of[ranks[block]][remaining]:
                 tup = acc + (rho,)
                 mult = _mult_in_product(alpha, tup)
                 if mult:
                     out.append(SchurSummand(tup, mult))
             return
         for w in range(remaining + 1):
-            for rho in shapes_of(w, ranks[block]):
+            for rho in shapes_of[ranks[block]][w]:
                 rec(block + 1, remaining - w, acc + (rho,))
 
     if not ranks:

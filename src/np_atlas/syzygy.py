@@ -29,8 +29,8 @@ from .geometry import (
     positivity,
     quotient_ranks,
 )
-from .partitions import conjugate, contains, normalize, weight
-from .schur import SchurSummand, lr_coefficient, partitions_of, subpartitions_of
+from .partitions import conjugate, normalize, weight
+from .schur import SchurSummand, partitions_of, skew_decompose
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not_certified"
@@ -91,12 +91,8 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
     summands = []
     if j <= total:
         for rho in partitions_of(j, max_length=ranks[level]):
-            if not contains(alpha, conjugate(rho)):
-                continue
-            for nu in subpartitions_of(alpha, total - j):
-                mult = lr_coefficient(alpha, conjugate(rho), nu)
-                if mult:
-                    summands.append(SchurSummand((rho, nu), mult))
+            for nu, mult in skew_decompose(alpha, conjugate(rho)).items():
+                summands.append(SchurSummand((rho, nu), mult))
     summands.sort(key=lambda s: s.shape)
     return SchurComplexTerm(level, j, filt.twist, tuple(summands))
 
@@ -276,6 +272,8 @@ def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
         raise ValueError("p must be >= 1")
     if spec.family not in (Family.G2_X, Family.G2_P):
         raise ValueError("exhaustive certification covers only the two G2 varieties")
+    if l is not None and a is not None:
+        raise ValueError("give either a gap l or coefficients a, not both")
     if a is None:
         if l is None or check_int("gap l", l) < 1:
             raise ValueError("need a gap l >= 1 or explicit coefficients")

@@ -58,6 +58,12 @@ def test_normalize_rejects_bad_input():
     assert normalize((2, 0, 0)) == (2,)
 
 
+def test_normalize_rejects_non_int_entries():
+    for parts in [(1.9,), (True, 0.5), (2, 1.0), ("1",)]:
+        with pytest.raises(ValueError, match="partition entries must be ints"):
+            normalize(parts)
+
+
 def test_weyl_dimension_examples():
     for d in range(6):
         assert weyl_dimension((d, 0), 2) == d + 1

@@ -1,6 +1,11 @@
+import hashlib
 from math import prod
 
-from np_atlas.partitions import pad, weyl_dimension
+import pytest
+from hypothesis import given, strategies as st
+
+from np_atlas.geometry import parse_variety
+from np_atlas.partitions import contains, normalize, pad, weyl_dimension
 from np_atlas.schur import (
     SchurSummand,
     character_product,
@@ -8,9 +13,10 @@ from np_atlas.schur import (
     lr_coefficient,
     partitions_of,
     schur_character,
-    subpartitions_of,
+    skew_decompose,
     tensor_decompose,
 )
+from np_atlas.syzygy import schur_complex_term
 
 
 def all_shapes(max_weight):
@@ -74,10 +80,51 @@ def test_character_product_unit():
     assert character_product(one, a) == a
 
 
-def test_subpartitions_of():
-    assert sorted(subpartitions_of((2, 1), 2)) == [(1, 1), (2,)]
-    assert list(subpartitions_of((3,), 5)) == []
-    assert list(subpartitions_of((2, 2), 0)) == [()]
+def test_skew_decompose_examples():
+    assert skew_decompose((2, 1), (1,)) == {(2,): 1, (1, 1): 1}
+    assert skew_decompose((3, 2, 1), (2, 1)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+    assert skew_decompose((2, 2), (2, 2)) == {(): 1}
+    assert skew_decompose((2,), (1, 1)) == {}
+
+
+def test_skew_decompose_matches_tensor_decompose():
+    # two walks over different skew shapes: lam/mu, and the disconnected
+    # shape of mu beside nu; criterion 4 ties the second to the character oracle
+    for lam in all_shapes(6):
+        for mu in all_shapes(sum(lam)):
+            if not contains(lam, mu):
+                continue
+            skew = skew_decompose(lam, mu)
+            for nu in partitions_of(sum(lam) - sum(mu)):
+                product = dict(tensor_decompose(mu, nu, len(lam)))
+                assert skew.get(nu, 0) == product.get(lam, 0), (lam, mu, nu)
+            assert all(sum(nu) == sum(lam) - sum(mu) for nu in skew), (lam, mu)
+
+
+@st.composite
+def lr_triple(draw):
+    """lam, then mu and nu whose weights add up to that of lam."""
+    lam = draw(st.lists(st.integers(0, 4), max_size=4).map(
+        lambda xs: normalize(sorted(xs, reverse=True))))
+    k = draw(st.integers(0, sum(lam)))
+    mu = draw(st.sampled_from(list(partitions_of(k))))
+    nu = draw(st.sampled_from(list(partitions_of(sum(lam) - k))))
+    return lam, mu, nu
+
+
+@given(lr_triple())
+def test_lr_coefficient_symmetric_in_factors(triple):
+    lam, mu, nu = triple
+    assert lr_coefficient(lam, mu, nu) == lr_coefficient(lam, nu, mu)
+
+
+def test_malformed_schur_input_rejected():
+    with pytest.raises(ValueError, match="partition entries must be ints"):
+        tensor_decompose((1.9,), (1,), 2)
+    with pytest.raises(ValueError, match="max_length must be a non-negative int"):
+        tensor_decompose((1,), (1,), -1)
+    with pytest.raises(ValueError, match="block ranks must be non-negative ints"):
+        filtration_quotients((1,), (-1, 2))
 
 
 def test_filtration_quotients_examples():
@@ -135,3 +182,36 @@ def test_filtration_quotients_weight_six_spot_checks():
                 prod *= weyl_dimension(pad(rho, r), r)
             total += prod
         assert total == weyl_dimension(pad(alpha, n), n)
+
+
+# sha256 of the repr of schur_complex_term at gap 5 (levels of each variety,
+# j = 1..6) and of filtration_quotients over the partitions of 7 that fit,
+# recorded from the code that counted one LR triple at a time
+SCHUR_COMPLEX_DIGESTS = {
+    ("sfl(3,2,1;8)", 1): "8fe74ebf4411a1eedfc7649fac9e4c141e638336ff7bdb6c06ac543ccc97b7a8",
+    ("sfl(3,2,1;8)", 2): "41b678618d661aae2b03f86664dfe925ab4fabee2c5e00af967e631ad55a89ea",
+    ("sfl(3,2,1;8)", 3): "3e91fc81d3c84c4397c2d3da70d286965ad24ff792e3db02ff9a1b42fbb35b35",
+    ("ofl(3,1;9)", 1): "920073e088252ea307244b8ecb1ec0c245a4b2f180b629e33b5d01d9df96a703",
+    ("ofl(3,1;9)", 2): "3bbc9b228631155631de9757f0cc3b0bf4bb0eebf8d043083d82406dffd6e068",
+    ("sfl(4;10)", 1): "d688732baf8b626ee58758380408d64400e75ebe16dbae953db05e59af9b0fdf",
+}
+FILTRATION_DIGESTS = {
+    (2, 2, 2): "a667e7757256b9880bc98e94318ecdde9bf0dd085c2de3ec72508d06516a3dbe",
+    (3, 2, 2): "1853b0fe70c0b893332a612c778c4787e177c04e293f5371f2aa51261caea401",
+}
+
+
+def sha256_of_repr(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_schur_layer_pinned():
+    for (token, level), digest in SCHUR_COMPLEX_DIGESTS.items():
+        shape = parse_variety(token).shape
+        a = tuple(5 * (shape.k - i) for i in range(shape.k))
+        terms = [schur_complex_term(shape, a, level, j) for j in range(1, 7)]
+        assert sha256_of_repr(terms) == digest, (token, level)
+    for ranks, digest in FILTRATION_DIGESTS.items():
+        quotients = [filtration_quotients(alpha, ranks)
+                     for alpha in partitions_of(7) if len(alpha) <= sum(ranks)]
+        assert sha256_of_repr(quotients) == digest, ranks

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from np_atlas.geometry import FlagShape, parse_variety
 from np_atlas.syzygy import (
@@ -139,6 +140,32 @@ def test_np_certify_monotone():
                 assert np_certify(spec, (3 * l, 2 * l, l), p - 1).certified
 
 
+def suffix_sums(xs):
+    return tuple(sum(xs[i:]) for i in range(len(xs)))
+
+
+@st.composite
+def bcd_query(draw):
+    """A C or BD catalog variety with at most 3 tail quotient ranks, the gaps
+    of an ample chain on it, and p <= 4."""
+    dims = suffix_sums(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        token = f"sfl({','.join(map(str, dims))};{2 * dims[0] + draw(st.sampled_from([0, 2]))})"
+    else:
+        token = f"ofl({','.join(map(str, dims))};{2 * dims[0] + draw(st.integers(0, 3))})"
+    gaps = draw(st.lists(st.integers(1, 4), min_size=len(dims), max_size=len(dims)))
+    return parse_variety(token), gaps, draw(st.integers(1, 4))
+
+
+@given(bcd_query())
+def test_np_certify_monotone_in_gap(query):
+    spec, gaps, p = query
+    cert = np_certify(spec, suffix_sums(gaps), p)
+    assert cert.query["gap"] == min(gaps)
+    if cert.certified:
+        assert np_certify(spec, suffix_sums([g + 1 for g in gaps]), p).certified
+
+
 def test_np_certify_validation():
     spec = parse_variety("sfl(2;6)")
     with pytest.raises(ValueError):
@@ -173,6 +200,11 @@ def test_g2_certify_examples():
         g2_np_certify(gp, 1, a=(1, 1))
     with pytest.raises(ValueError):
         g2_np_certify(parse_variety("sfl(2;6)"), 1, l=1)
+
+
+def test_g2_certify_rejects_gap_and_coefficients_together():
+    with pytest.raises(ValueError, match="give either a gap l or coefficients a, not both"):
+        g2_np_certify(parse_variety("g2x"), 1, l=5, a=(1,))
 
 
 def test_np_certify_routes_g2():
