@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .partitions import normalize, pad, weyl_dimension
+from .partitions import check_int, normalize, pad, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class BlockedWeight:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(x) for x in b) for b in self.blocks)
+        blocks = tuple(tuple(check_int("weight entry", x) for x in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         for b in blocks:
             if any(x < y for x, y in zip(b, b[1:])):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
-from .partitions import normalize, pad
+from .partitions import check_int, normalize, pad
 from .plethysm import SYM2, WEDGE2, wedge_of_sym2, wedge_of_wedge2
 from .schur import SchurSummand, tensor_decompose
 
@@ -35,6 +35,9 @@ W_WEDGE2 = "wedge2_sub"
 W_SYM2 = "sym2_sub"
 W_G2 = "g2_twist"
 
+# each G2 family lives on a fixed flag of 7-space
+G2_DIMS = {Family.G2_X: (2,), Family.G2_P: (2, 1), Family.G2_Q: (1,)}
+
 
 @dataclass(frozen=True)
 class FlagShape:
@@ -44,7 +47,8 @@ class FlagShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        check_int("n", self.n)
+        dims = tuple(check_int("dim", d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims or any(a <= b for a, b in zip(dims, dims[1:])):
             raise ValueError(f"dims must be strictly decreasing and non-empty: {dims}")
@@ -81,13 +85,10 @@ class VarietySpec:
             raise ValueError("type B needs odd ambient dimension and a sym-square bundle")
         if fam in (Family.D_SUB, Family.D_SPINOR, Family.D_MIXED) and (n % 2 or w != W_SYM2):
             raise ValueError("type D needs even ambient dimension and a sym-square bundle")
-        if fam in (Family.G2_X, Family.G2_P, Family.G2_Q):
-            expected = {Family.G2_X: (2,), Family.G2_P: (2, 1), Family.G2_Q: (1,)}[fam]
-            if n != 7 or self.shape.dims != expected:
-                raise ValueError(f"{fam.value} lives on Fl{expected} in 7-space")
-        if fam is Family.C and n1 > n // 2:
-            raise ValueError("isotropic subspaces cannot exceed half the ambient dimension")
-        if fam in (Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED) and n1 > n // 2:
+        if fam in G2_DIMS and (n != 7 or self.shape.dims != G2_DIMS[fam]):
+            raise ValueError(f"{fam.value} lives on Fl{G2_DIMS[fam]} in 7-space")
+        if (fam in (Family.C, Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED)
+                and n1 > n // 2):
             raise ValueError("isotropic subspaces cannot exceed half the ambient dimension")
 
 
@@ -133,13 +134,6 @@ def decompose_ample(a: tuple[int, ...]) -> int:
         raise ValueError(f"line bundle {a} is not ample")
     gaps = [x - y for x, y in zip(a, a[1:])] + [a[-1]]
     return min(gaps)
-
-
-def check_int(name: str, value: int) -> int:
-    """value itself, once its type is exactly int: bools and floats are refused."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    return value
 
 
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -326,7 +320,7 @@ def parse_variety(text: str) -> VarietySpec:
     s = text.strip().lower()
     if s in _G2_TOKENS:
         fam = _G2_TOKENS[s]
-        shape = FlagShape(7, {Family.G2_X: (2,), Family.G2_Q: (1,), Family.G2_P: (2, 1)}[fam])
+        shape = FlagShape(7, G2_DIMS[fam])
         kind = W_SYM2 if fam is Family.G2_Q else W_G2
         return VarietySpec(fam, shape, kind)
     for token in ("sfl", "ofl", "fl"):

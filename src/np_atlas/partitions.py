@@ -18,6 +18,13 @@ class FrobeniusForm(NamedTuple):
     legs: tuple[int, ...]
 
 
+def check_int(name: str, value: int) -> int:
+    """value itself, once its type is exactly int: bools and floats are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def normalize(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a weakly decreasing sequence by stripping trailing zeros.
 
@@ -108,7 +115,7 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
     w is a weakly decreasing integer tuple of length exactly n.  Exact
     big-integer arithmetic; invariant under adding a constant to all entries.
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(check_int("weight entry", x) for x in w)
     if len(w) != n:
         raise ValueError(f"weight {w} has length {len(w)}, expected {n}")
     for a, b in zip(w, w[1:]):

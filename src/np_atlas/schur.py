@@ -173,16 +173,33 @@ def character_product(a: dict[tuple[int, ...], int],
 
 
 @lru_cache(maxsize=None)
-def _mult_in_product(target: tuple[int, ...], shapes: tuple[tuple[int, ...], ...]) -> int:
-    """Multiplicity of S^target in the iterated product of the given shapes.
+def _mult_in_product(target: tuple[int, ...],
+                     ranks: tuple[int, ...]) -> dict[tuple[tuple[int, ...], ...], int]:
+    """Branching of S^target from GL(sum(ranks)) to the product of the GL(r), r in ranks.
 
-    Peels one shape at a time: the multiplicity is the sum over nu of
-    c^target_{shapes[0], nu} times that of S^nu in the product of the rest.
+    Returns {(rho_1, ..., rho_k): multiplicity of S^target in S^rho_1 (x)
+    ... (x) S^rho_k}, one entry per product with a nonzero multiplicity,
+    where rho_b has length <= ranks[b].  target is a normalized partition
+    and ranks a tuple of ints.  Peels the first block: S^target restricted
+    to GL(ranks[0]) x GL(rest) is the sum of c^target_{rho,nu} S^rho (x)
+    S^nu, so each rho inside target costs one skew walk.  The cached dict is
+    shared by every caller and must not be mutated.
     """
-    if not shapes:
-        return 1 if target == () else 0
-    return sum(c * _mult_in_product(nu, shapes[1:])
-               for nu, c in skew_decompose(target, shapes[0]).items())
+    if len(ranks) <= 1:  # zero blocks hold only (), one block holds target if it fits
+        return {(target,) * len(ranks): 1} if len(target) <= sum(ranks) else {}
+    rest = ranks[1:]
+    room = sum(rest)
+    out: dict[tuple[tuple[int, ...], ...], int] = {}
+    for w in range(weight(target) + 1):
+        for rho in partitions_of(w, max_length=ranks[0]):
+            if not contains(target, rho):
+                continue
+            for nu, c in skew_decompose(target, rho).items():
+                if len(nu) <= room:
+                    for tail, m in _mult_in_product(nu, rest).items():
+                        key = (rho,) + tail
+                        out[key] = out.get(key, 0) + c * m
+    return out
 
 
 def filtration_quotients(alpha: tuple[int, ...],
@@ -198,29 +215,4 @@ def filtration_quotients(alpha: tuple[int, ...],
         raise ValueError(f"block ranks must be non-negative ints: {ranks}")
     if len(alpha) > sum(ranks):
         raise ValueError(f"partition {alpha} too long for total rank {sum(ranks)}")
-    total = weight(alpha)
-    out = []
-    # shapes_of[r][w]: block shapes of weight w and length <= r inside alpha;
-    # a block shape outside alpha has multiplicity 0 in every product
-    shapes_of = {r: [[rho for rho in partitions_of(w, max_length=r) if contains(alpha, rho)]
-                     for w in range(total + 1)] for r in set(ranks)}
-
-    def rec(block: int, remaining: int, acc: tuple[tuple[int, ...], ...]) -> None:
-        if block == len(ranks) - 1:
-            for rho in shapes_of[ranks[block]][remaining]:
-                tup = acc + (rho,)
-                mult = _mult_in_product(alpha, tup)
-                if mult:
-                    out.append(SchurSummand(tup, mult))
-            return
-        for w in range(remaining + 1):
-            for rho in shapes_of[ranks[block]][w]:
-                rec(block + 1, remaining - w, acc + (rho,))
-
-    if not ranks:
-        if alpha == ():
-            out.append(SchurSummand((), 1))
-    else:
-        rec(0, total, ())
-    out.sort(key=lambda s: s.shape)
-    return out
+    return sorted(SchurSummand(shapes, c) for shapes, c in _mult_in_product(alpha, ranks).items())

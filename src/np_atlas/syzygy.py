@@ -22,14 +22,13 @@ from .geometry import (
     FlagShape,
     NEF_NOT_AMPLE,
     VarietySpec,
-    check_int,
     check_line_bundle,
     decompose_ample,
     g2_koszul_twist_weight,
     positivity,
     quotient_ranks,
 )
-from .partitions import conjugate, normalize, weight
+from .partitions import check_int, conjugate, normalize, weight
 from .schur import SchurSummand, partitions_of, skew_decompose
 
 CERTIFIED = "certified"

@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .partitions import pad, weyl_dimension
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
-from .schur import character_product, schur_character, tensor_decompose
+from .schur import character_product, partitions_of, schur_character, tensor_decompose
 from .syzygy import TYPE_BD, TYPE_C, np_threshold
 
 DEFAULT_SEED = 7
@@ -187,8 +187,6 @@ def suite_bound_dominance(cases: int = 1000, seed: int = DEFAULT_SEED) -> dict:
 
 def suite_lr_oracle(max_weight: int = 4, max_vars: int = 3) -> dict:
     """Tableau-counting LR coefficients agree with the character-polynomial oracle."""
-    from .schur import partitions_of
-
     shapes = [()]
     for w in range(1, max_weight + 1):
         shapes.extend(partitions_of(w))

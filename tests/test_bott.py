@@ -25,6 +25,12 @@ def test_blocked_weight_validation():
     assert w.concat() == (2, 1, 0)
 
 
+def test_blocked_weight_rejects_non_int_entries():
+    for blocks in [((2.9,), (0.5,)), ((True,), (0,))]:
+        with pytest.raises(ValueError, match="weight entry must be an int"):
+            BlockedWeight(blocks)
+
+
 def test_rho_shift_examples():
     assert rho_shift(BlockedWeight(((2,), (0,)))) == (1, -2)
     assert rho_shift(BlockedWeight(((0,), (3,)))) == (-1, 1)

@@ -43,6 +43,15 @@ def test_flag_shape_validation():
     assert FlagShape(4, (2, 1)).k == 2
 
 
+def test_flag_shape_rejects_non_int_entries():
+    with pytest.raises(ValueError, match="dim must be an int"):
+        FlagShape(8, (3.7,))
+    with pytest.raises(ValueError, match="dim must be an int"):
+        FlagShape(8, (3, True))
+    with pytest.raises(ValueError, match="n must be an int"):
+        FlagShape(8.5, (3,))
+
+
 def test_quotient_ranks_examples():
     assert quotient_ranks(FlagShape(2, (1,))) == (1, 1)
     assert quotient_ranks(FlagShape(12, (6, 5, 3))) == (6, 1, 2, 3)

@@ -71,6 +71,12 @@ def test_weyl_dimension_examples():
     assert weyl_dimension((2, 1, 1, 0), 4) == 15
 
 
+def test_weyl_dimension_rejects_non_int_entries():
+    for w in [(1.9, 0), (True, 0)]:
+        with pytest.raises(ValueError, match="weight entry must be an int"):
+            weyl_dimension(w, 2)
+
+
 def test_weyl_dimension_length_mismatch():
     with pytest.raises(ValueError):
         weyl_dimension((1, 0), 3)

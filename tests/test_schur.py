@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from math import prod
 
 import pytest
@@ -140,6 +141,33 @@ def test_filtration_quotients_examples():
     ]
 
 
+def block_character(shapes, ranks):
+    """Product of the schur_character(rho_b, r_b) in disjoint variables; a rank-0 block gives 1."""
+    poly = {(): 1}
+    for rho, r in zip(shapes, ranks):
+        factor = schur_character(rho, r) if r else {(): 1}
+        poly = {a + b: ca * cb for a, ca in poly.items() for b, cb in factor.items()}
+    return poly
+
+
+def test_filtration_quotients_match_character_oracle():
+    # the branching of S^alpha checked against the semistandard-tableau oracle;
+    # weight 6 is the first with an LR coefficient above 1
+    cases = 0
+    for alpha in all_shapes(6):
+        for length in range(1, 4):
+            for ranks in itertools.product(range(4), repeat=length):
+                if not 1 <= sum(ranks) <= 5 or len(alpha) > sum(ranks):
+                    continue
+                restricted = {}
+                for s in filtration_quotients(alpha, ranks):
+                    for expo, c in block_character(s.shape, ranks).items():
+                        restricted[expo] = restricted.get(expo, 0) + s.multiplicity * c
+                assert restricted == schur_character(alpha, sum(ranks)), (alpha, ranks)
+                cases += 1
+    assert cases == 1358
+
+
 def rank_tuples(total_cap, length_cap):
     out = []
 
@@ -199,6 +227,10 @@ FILTRATION_DIGESTS = {
     (2, 2, 2): "a667e7757256b9880bc98e94318ecdde9bf0dd085c2de3ec72508d06516a3dbe",
     (3, 2, 2): "1853b0fe70c0b893332a612c778c4787e177c04e293f5371f2aa51261caea401",
 }
+# sha256 of the repr of every (alpha, ranks, quotients or ("ValueError", message))
+# for alpha of weight <= 6 and rank tuples of length <= 4 with entries 0..3, ()
+# included, recorded from the code that listed every tuple of block shapes
+FILTRATION_SWEEP_DIGEST = "924fec60c839ff2172b9ac8b33f9be6b53dda974d0e90abf800923494ccad4df"
 
 
 def sha256_of_repr(value):
@@ -215,3 +247,17 @@ def test_schur_layer_pinned():
         quotients = [filtration_quotients(alpha, ranks)
                      for alpha in partitions_of(7) if len(alpha) <= sum(ranks)]
         assert sha256_of_repr(quotients) == digest, ranks
+
+
+def test_filtration_quotients_sweep_pinned():
+    records = []
+    for alpha in all_shapes(6):
+        for length in range(5):
+            for ranks in itertools.product(range(4), repeat=length):
+                try:
+                    result = filtration_quotients(alpha, ranks)
+                except ValueError as exc:
+                    result = ("ValueError", str(exc))
+                records.append((alpha, ranks, result))
+    assert len(records) == 10230
+    assert sha256_of_repr(records) == FILTRATION_SWEEP_DIGEST
