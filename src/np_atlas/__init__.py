@@ -15,7 +15,6 @@ from .bott import (
 from .geometry import (
     Family,
     FlagShape,
-    PicardRestriction,
     VarietySpec,
     canonical_weight,
     decompose_ample,
@@ -23,17 +22,13 @@ from .geometry import (
     koszul_terms,
     parse_shape,
     parse_variety,
-    picard_restriction,
     positivity,
     quotient_ranks,
     restriction_surjectivity_check,
 )
 from .partitions import (
-    FrobeniusForm,
     conjugate,
-    frobenius,
     from_frobenius,
-    rank,
     weyl_dimension,
 )
 from .plethysm import (

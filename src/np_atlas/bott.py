@@ -9,7 +9,7 @@ sequence and the representation is read off from its descending sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .partitions import check_int, normalize, pad, weyl_dimension
@@ -109,15 +109,15 @@ def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
 
 @dataclass(frozen=True)
 class InversionBoundReport:
-    """Exact inversion data against the configuration-maximum upper bound."""
+    """Exact inversion data against the configuration-maximum upper bound.
+
+    An exact count above the bound is kept, not refused: the bound-dominance
+    suite compares the two and reports it as a violation.
+    """
 
     exact_inversions: int | None  # None means all cohomology vanishes
     bound: int
     witness_config: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.exact_inversions is not None and self.exact_inversions > self.bound:
-            raise AssertionError("exact inversion count exceeds its bound")
 
 
 def _config_values(blocks: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],

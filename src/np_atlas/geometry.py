@@ -14,7 +14,7 @@ from enum import Enum
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
 from .partitions import check_int, normalize, pad
-from .plethysm import SYM2, WEDGE2, wedge_of_sym2, wedge_of_wedge2
+from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import SchurSummand, tensor_decompose
 
 
@@ -66,50 +66,59 @@ def quotient_ranks(shape: FlagShape) -> tuple[int, ...]:
     return tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
 
 
+# the defining bundle of each family's embedding into its ambient flag
+_W_KIND = {
+    Family.A: W_NONE,
+    Family.C: W_WEDGE2,
+    Family.B: W_SYM2, Family.D_SUB: W_SYM2, Family.D_SPINOR: W_SYM2, Family.D_MIXED: W_SYM2,
+    Family.G2_Q: W_SYM2,
+    Family.G2_X: W_G2, Family.G2_P: W_G2,
+}
+
+_ORTHOGONAL = (Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED)
+
+
+def _orthogonal_family(shape: FlagShape) -> Family:
+    """The orthogonal family of a flag of isotropic subspaces in n-space.
+
+    Odd n gives type B.  For even n = 2m the largest subspace dimension n1
+    decides the type-D subtype: n1 <= m - 2, n1 = m - 1, or n1 = m.
+    """
+    n, n1 = shape.n, shape.dims[0]
+    if n % 2:
+        return Family.B
+    m = n // 2
+    if n1 <= m - 2:
+        return Family.D_SUB
+    if n1 == m - 1:
+        return Family.D_MIXED
+    return Family.D_SPINOR
+
+
 @dataclass(frozen=True)
 class VarietySpec:
-    """A catalog entry: ambient shape, family tag, and defining-bundle kind."""
+    """A catalog entry: family tag and ambient shape; the family fixes the defining bundle."""
 
     family: Family
     shape: FlagShape
-    w_kind: str
 
     def __post_init__(self):
         n, n1 = self.shape.n, self.shape.dims[0]
-        fam, w = self.family, self.w_kind
-        if fam is Family.A and w != W_NONE:
-            raise ValueError("type A carries no defining bundle")
-        if fam is Family.C and (n % 2 or w != W_WEDGE2):
-            raise ValueError("type C needs even ambient dimension and a wedge-square bundle")
-        if fam is Family.B and (n % 2 == 0 or w != W_SYM2):
-            raise ValueError("type B needs odd ambient dimension and a sym-square bundle")
-        if fam in (Family.D_SUB, Family.D_SPINOR, Family.D_MIXED) and (n % 2 or w != W_SYM2):
-            raise ValueError("type D needs even ambient dimension and a sym-square bundle")
+        fam = self.family
+        if fam is Family.C and n % 2:
+            raise ValueError("type C needs even ambient dimension")
+        if (fam is Family.C or fam in _ORTHOGONAL) and n1 > n // 2:
+            raise ValueError("isotropic subspaces cannot exceed half the ambient dimension")
+        if fam in _ORTHOGONAL and fam is not _orthogonal_family(self.shape):
+            raise ValueError(f"isotropic {n1}-dimensional subspaces of {n}-space make "
+                             f"{_orthogonal_family(self.shape).value}, not {fam.value}")
         if fam in G2_DIMS and (n != 7 or self.shape.dims != G2_DIMS[fam]):
             raise ValueError(f"{fam.value} lives on Fl{G2_DIMS[fam]} in 7-space")
-        if (fam in (Family.C, Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED)
-                and n1 > n // 2):
-            raise ValueError("isotropic subspaces cannot exceed half the ambient dimension")
 
-
-@dataclass(frozen=True)
-class PicardRestriction:
-    """How the ambient Picard lattice restricts to the subvariety."""
-
-    injective: bool
-    index: object  # 1, 2, or "corank-1-quotient"
-
-
-def picard_restriction(spec: VarietySpec) -> PicardRestriction:
-    fam = spec.family
-    n, n1 = spec.shape.n, spec.shape.dims[0]
-    if fam is Family.B and n1 == (n - 1) // 2:
-        return PicardRestriction(True, 2)
-    if fam is Family.D_SPINOR:
-        return PicardRestriction(True, 2)
-    if fam is Family.D_MIXED:
-        return PicardRestriction(True, "corank-1-quotient")
-    return PicardRestriction(True, 1)
+    @property
+    def w_kind(self) -> str:
+        """Kind of the defining bundle of the embedding, read from the family."""
+        return _W_KIND[self.family]
 
 
 AMPLE = "ample"
@@ -144,13 +153,6 @@ def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
-def line_bundle_weight(shape: FlagShape, a: tuple[int, ...]) -> BlockedWeight:
-    """Constant-block weight of the line bundle with the given coefficients."""
-    ranks = quotient_ranks(shape)
-    coeffs = check_line_bundle(shape, a) + (0,)
-    return BlockedWeight(tuple((c,) * r for c, r in zip(coeffs, ranks)))
-
-
 def canonical_weight(shape: FlagShape) -> BlockedWeight:
     """Blocked weight of the canonical bundle of the flag variety."""
     ranks = quotient_ranks(shape)
@@ -162,35 +164,28 @@ def canonical_weight(shape: FlagShape) -> BlockedWeight:
 
 
 def w_rank(spec: VarietySpec) -> int:
-    """Rank of the defining bundle of the embedding."""
+    """Rank of the wedge- or sym-square defining bundle of the embedding."""
     n1 = spec.shape.dims[0]
     if spec.w_kind == W_WEDGE2:
         return n1 * (n1 - 1) // 2
     if spec.w_kind == W_SYM2:
         return n1 * (n1 + 1) // 2
-    if spec.w_kind == W_G2:
-        return 5
-    raise ValueError("variety has no defining bundle")
+    raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")
 
 
 def koszul_terms(spec: VarietySpec, j: int) -> list[SchurSummand]:
     """Schur constituents (on the tautological sub-bundle) of the j-th Koszul term.
 
-    For the G2 twist kind the single shape is the length-j column, carried
-    with an implicit Pluecker twist by -j; see g2_koszul_twist_weight.
+    The defining bundle must be a wedge or sym square; the G2 Koszul twist is
+    built by g2_koszul_twist_weight alone.
     """
-    if spec.w_kind == W_NONE:
-        raise ValueError("variety has no defining bundle")
     if not 0 <= j <= w_rank(spec):
         raise ValueError(f"j={j} outside 0..{w_rank(spec)}")
     if j == 0:
         return [SchurSummand((), 1)]
     n1 = spec.shape.dims[0]
-    if spec.w_kind == W_WEDGE2:
-        return [SchurSummand(s, 1) for s in wedge_of_wedge2(j, n1)]
-    if spec.w_kind == W_SYM2:
-        return [SchurSummand(s, 1) for s in wedge_of_sym2(j, n1)]
-    return [SchurSummand((1,) * j, 1)]
+    shapes = wedge_of_wedge2(j, n1) if spec.w_kind == W_WEDGE2 else wedge_of_sym2(j, n1)
+    return [SchurSummand(s, 1) for s in shapes]
 
 
 def grassmannian_pushforward(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -250,9 +245,6 @@ class SurjectivityReport:
     ok: bool
     entries: tuple[SurjectivityEntry, ...]
 
-    def nonvanishing_degrees(self) -> set[int]:
-        return {e.result.degree for e in self.entries if not e.result.vanishes}
-
 
 def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> SurjectivityReport:
     """Verify that ambient sections of an ample bundle restrict onto the subvariety.
@@ -291,7 +283,7 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     return SurjectivityReport(all(e.ok for e in entries), tuple(entries))
 
 
-_SHAPE_TOKENS = {"fl": Family.A, "sfl": Family.C, "ofl": None}
+_SHAPE_TOKENS = {"fl": Family.A, "sfl": Family.C}
 _G2_TOKENS = {
     "g2x": Family.G2_X,
     "g2q": Family.G2_Q,
@@ -320,25 +312,12 @@ def parse_variety(text: str) -> VarietySpec:
     s = text.strip().lower()
     if s in _G2_TOKENS:
         fam = _G2_TOKENS[s]
-        shape = FlagShape(7, G2_DIMS[fam])
-        kind = W_SYM2 if fam is Family.G2_Q else W_G2
-        return VarietySpec(fam, shape, kind)
+        return VarietySpec(fam, FlagShape(7, G2_DIMS[fam]))
     for token in ("sfl", "ofl", "fl"):
         if s.startswith(token):
             shape = _parse_shape_body(s, token)
-            if token == "fl":
-                return VarietySpec(Family.A, shape, W_NONE)
-            if token == "sfl":
-                return VarietySpec(Family.C, shape, W_WEDGE2)
-            n, n1 = shape.n, shape.dims[0]
-            if n % 2:
-                return VarietySpec(Family.B, shape, W_SYM2)
-            m = n // 2
-            if n1 <= m - 2:
-                return VarietySpec(Family.D_SUB, shape, W_SYM2)
-            if n1 == m - 1:
-                return VarietySpec(Family.D_MIXED, shape, W_SYM2)
-            return VarietySpec(Family.D_SPINOR, shape, W_SYM2)
+            fam = _orthogonal_family(shape) if token == "ofl" else _SHAPE_TOKENS[token]
+            return VarietySpec(fam, shape)
     raise ValueError(f"unrecognized variety token {text!r}")
 
 

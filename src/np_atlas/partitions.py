@@ -8,14 +8,7 @@ bundles and canonical twists can be handled uniformly.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
-
-
-class FrobeniusForm(NamedTuple):
-    """Diagonal-hook coordinates (arms | legs) of a partition."""
-
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
+from typing import Iterable
 
 
 def check_int(name: str, value: int) -> int:
@@ -70,33 +63,19 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for row in p if row > j) for j in range(p[0]))
 
 
-def rank(p: tuple[int, ...]) -> int:
-    """Length of the diagonal of the Young diagram."""
-    p = normalize(p)
-    r = 0
-    while r < len(p) and p[r] >= r + 1:
-        r += 1
-    return r
+def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:
+    """The partition with Frobenius coordinates (arms | legs).
 
-
-def frobenius(p: tuple[int, ...]) -> FrobeniusForm:
-    """Frobenius coordinates: arm_i = p_i - i, leg_i = conj(p)_i - i (1-based)."""
-    p = normalize(p)
-    c = conjugate(p)
-    r = rank(p)
-    arms = tuple(p[i] - i - 1 for i in range(r))
-    legs = tuple(c[i] - i - 1 for i in range(r))
-    return FrobeniusForm(arms, legs)
-
-
-def from_frobenius(f: FrobeniusForm) -> tuple[int, ...]:
-    """Rebuild a partition from its diagonal hooks; inverse of frobenius()."""
-    arms, legs = tuple(f.arms), tuple(f.legs)
+    Row i of the diagonal block has arms[i] + i + 1 cells and column i has
+    legs[i] + i + 1, for 0-based i; both sequences strictly decrease to >= 0.
+    """
+    arms, legs = tuple(arms), tuple(legs)
     if len(arms) != len(legs):
         raise ValueError("arm and leg sequences must have equal length")
     for seq in (arms, legs):
         if any(a <= b for a, b in zip(seq, seq[1:])) or any(x < 0 for x in seq):
-            raise ValueError(f"Frobenius coordinates must be strictly decreasing and >= 0: {f}")
+            raise ValueError(
+                f"Frobenius coordinates must be strictly decreasing and >= 0: {arms} | {legs}")
     r = len(arms)
     nrows = (legs[0] + 1) if r else 0
     rows = []
@@ -129,21 +108,6 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
             den *= j - i
     assert num % den == 0
     return num // den
-
-
-def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse the bracket syntax, e.g. "[3,1]"; the empty partition is "[]"."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"expected bracketed partition, got {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    try:
-        parts = [int(tok) for tok in body.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad partition entry in {text!r}: {exc}") from None
-    return normalize(parts)
 
 
 def format_partition(p: tuple[int, ...]) -> str:

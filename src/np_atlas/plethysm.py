@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .partitions import FrobeniusForm, conjugate, from_frobenius
+from .partitions import conjugate, from_frobenius
 
 WEDGE2 = "wedge2"
 SYM2 = "sym2"
@@ -38,7 +38,7 @@ def _wedge_of_wedge2_all(j: int) -> tuple[tuple[int, ...], ...]:
     shapes = []
     for arms in _strict_arm_sequences(j):
         legs = tuple(m + 1 for m in arms)
-        shapes.append(from_frobenius(FrobeniusForm(arms, legs)))
+        shapes.append(from_frobenius(arms, legs))
     return tuple(sorted(shapes))
 
 

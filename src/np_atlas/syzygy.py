@@ -51,10 +51,11 @@ class KernelFiltrationLevel:
 
 def kernel_filtration(shape: FlagShape, a: tuple[int, ...]) -> list[KernelFiltrationLevel]:
     """Filtration data of the kernel of the evaluation map of a nef bundle."""
+    a = check_line_bundle(shape, a)
     if positivity(a) not in (AMPLE, NEF_NOT_AMPLE):
         raise ValueError(f"line bundle {a} is not nef")
     ranks = quotient_ranks(shape)
-    coeffs = tuple(a) + (0,)
+    coeffs = a + (0,)
     levels = []
     for i in range(1, shape.k + 1):
         parts: list[int] = []
@@ -79,9 +80,9 @@ class SchurComplexTerm:
 def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
                        j: int) -> SchurComplexTerm:
     """Terms of the Schur complex resolving the level-th filtration quotient."""
-    if not 1 <= level <= shape.k:
+    if not 1 <= check_int("level", level) <= shape.k:
         raise ValueError(f"level {level} outside 1..{shape.k}")
-    if j < 1:
+    if check_int("homological degree j", j) < 1:
         raise ValueError("homological degree must be >= 1")
     ranks = quotient_ranks(shape)
     filt = kernel_filtration(shape, a)[level - 1]

@@ -20,10 +20,8 @@ from np_atlas.geometry import (
     g2_koszul_twist_weight,
     grassmannian_pushforward,
     koszul_terms,
-    line_bundle_weight,
     parse_shape,
     parse_variety,
-    picard_restriction,
     positivity,
     quotient_ranks,
     restriction_surjectivity_check,
@@ -102,23 +100,33 @@ def test_canonical_weight_grassmannians():
     assert w.blocks == ((-2, -2), (2, 2))
 
 
-def test_line_bundle_weight():
-    w = line_bundle_weight(FlagShape(4, (2, 1)), (3, 1))
-    assert w.blocks == ((3, 3), (1,), (0,))
-    with pytest.raises(ValueError):
-        line_bundle_weight(FlagShape(4, (2, 1)), (3,))
-
-
 def test_variety_spec_validation():
     with pytest.raises(ValueError):
-        VarietySpec(Family.C, FlagShape(7, (2,)), W_WEDGE2)  # odd ambient
+        VarietySpec(Family.C, FlagShape(7, (2,)))  # odd ambient
     with pytest.raises(ValueError):
-        VarietySpec(Family.B, FlagShape(8, (2,)), W_SYM2)  # even ambient
+        VarietySpec(Family.B, FlagShape(8, (2,)))  # even ambient
     with pytest.raises(ValueError):
-        VarietySpec(Family.C, FlagShape(6, (4,)), W_WEDGE2)  # not isotropic
+        VarietySpec(Family.C, FlagShape(6, (4,)))  # not isotropic
     with pytest.raises(ValueError):
-        VarietySpec(Family.G2_X, FlagShape(7, (3,)), W_G2)
-    VarietySpec(Family.A, FlagShape(5, (2,)), W_NONE)
+        VarietySpec(Family.G2_X, FlagShape(7, (3,)))
+    VarietySpec(Family.A, FlagShape(5, (2,)))
+
+
+def test_variety_spec_orthogonal_family_follows_shape():
+    # OG(2,10) is D_sub: mislabelled as a spinor variety it must not be built
+    with pytest.raises(ValueError, match="make D_sub, not D_spinor"):
+        VarietySpec(Family.D_SPINOR, FlagShape(10, (2,)))
+    orthogonal = (Family.B, Family.D_SUB, Family.D_MIXED, Family.D_SPINOR)
+    for n in range(3, 13):
+        for n1 in range(1, n // 2 + 1):
+            shape = FlagShape(n, (n1,))
+            parsed = parse_variety(f"ofl({n1};{n})").family
+            for fam in orthogonal:
+                if fam is parsed:
+                    assert VarietySpec(fam, shape).w_kind == W_SYM2
+                else:
+                    with pytest.raises(ValueError):
+                        VarietySpec(fam, shape)
 
 
 def test_parse_variety_catalog():
@@ -133,6 +141,9 @@ def test_parse_variety_catalog():
     assert parse_variety("g2x").family is Family.G2_X
     assert parse_variety("g2p").family is Family.G2_P
     assert parse_variety("g2q").family is Family.G2_Q
+    for token, kind in (("fl(2,1;5)", W_NONE), ("ofl(2;7)", W_SYM2), ("ofl(4;8)", W_SYM2),
+                        ("g2q", W_SYM2), ("g2x", W_G2), ("g2p", W_G2)):
+        assert parse_variety(token).w_kind == kind
     with pytest.raises(ValueError):
         parse_variety("xfl(1;2)")
     with pytest.raises(ValueError):
@@ -143,15 +154,6 @@ def test_parse_shape():
     assert parse_shape("fl(2,1; 5)") == FlagShape(5, (2, 1))
     with pytest.raises(ValueError):
         parse_shape("sfl(2;6)")
-
-
-def test_picard_restriction():
-    assert picard_restriction(parse_variety("sfl(2;6)")).index == 1
-    assert picard_restriction(parse_variety("ofl(2;7)")).index == 1
-    assert picard_restriction(parse_variety("ofl(3;7)")).index == 2
-    assert picard_restriction(parse_variety("ofl(4;8)")).index == 2
-    assert picard_restriction(parse_variety("ofl(3;8)")).index == "corank-1-quotient"
-    assert picard_restriction(parse_variety("ofl(2;8)")).index == 1
 
 
 def test_w_rank_and_koszul_terms():
@@ -165,8 +167,9 @@ def test_w_rank_and_koszul_terms():
     assert koszul_terms(c, 0) == [SchurSummand((), 1)]
     with pytest.raises(ValueError):
         koszul_terms(c, 4)
-    with pytest.raises(ValueError):
-        koszul_terms(parse_variety("fl(1;2)"), 1)
+    for token in ("fl(1;2)", "g2x", "g2p"):
+        with pytest.raises(ValueError):
+            koszul_terms(parse_variety(token), 1)
 
 
 def test_koszul_dimension_identity():

@@ -1,19 +1,17 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from np_atlas.partitions import (
-    FrobeniusForm,
     conjugate,
     format_partition,
-    frobenius,
     from_frobenius,
     normalize,
     pad,
-    parse_partition,
-    rank,
     weyl_dimension,
 )
-from np_atlas.schur import schur_character
+from np_atlas.schur import partitions_of, schur_character
 
 partition_st = st.lists(st.integers(0, 8), max_size=6).map(
     lambda xs: normalize(sorted(xs, reverse=True))
@@ -32,22 +30,25 @@ def test_conjugate_involutive(p):
 
 
 def test_frobenius_examples():
-    assert frobenius((2, 1, 1)) == FrobeniusForm((1,), (2,))
-    assert frobenius((3, 1)) == FrobeniusForm((2,), (1,))
-    assert frobenius((2, 2, 2)) == FrobeniusForm((1, 0), (2, 1))
+    assert from_frobenius((1,), (2,)) == (2, 1, 1)
+    assert from_frobenius((2,), (1,)) == (3, 1)
+    assert from_frobenius((1, 0), (2, 1)) == (2, 2, 2)
+    assert from_frobenius((), ()) == ()
+    for arms, legs in (((1,), ()), ((0, 1), (1, 0)), ((1,), (-1,))):
+        with pytest.raises(ValueError):
+            from_frobenius(arms, legs)
 
 
-@given(partition_st)
-def test_frobenius_roundtrip(p):
-    f = frobenius(p)
-    assert from_frobenius(f) == p
-    assert len(f.arms) == rank(p)
-
-
-def test_rank_examples():
-    assert rank((2, 1, 1)) == 1
-    assert rank((2, 2)) == 2
-    assert rank(()) == 0
+def test_from_frobenius_enumerates_partitions():
+    # every (arms | legs) pair of strictly decreasing tuples of equal length r
+    # and weight sum(arms) + sum(legs) + r <= 8; r <= 2, since r = 3 weighs >= 9
+    strict = [tuple(reversed(c)) for r in range(3) for c in combinations(range(8), r)]
+    pairs = [(arms, legs) for arms in strict for legs in strict
+             if len(arms) == len(legs) and sum(arms) + sum(legs) + len(arms) <= 8]
+    built = [from_frobenius(arms, legs) for arms, legs in pairs]
+    assert sorted(built) == sorted([()] + [p for w in range(1, 9) for p in partitions_of(w)])
+    for arms, legs in pairs:
+        assert from_frobenius(legs, arms) == conjugate(from_frobenius(arms, legs))
 
 
 def test_normalize_rejects_bad_input():
@@ -84,8 +85,6 @@ def test_weyl_dimension_length_mismatch():
 
 def test_weyl_dimension_counts_tableaux():
     # independent oracle: number of semistandard fillings with entries <= n
-    from np_atlas.schur import partitions_of
-
     shapes = [()]
     for w in range(1, 7):
         shapes.extend(partitions_of(w))
@@ -104,11 +103,6 @@ def test_weyl_dimension_determinant_twist(p, c):
     assert weyl_dimension(w, n) == weyl_dimension(tuple(x + c for x in w), n)
 
 
-def test_parse_and_format():
-    assert parse_partition("[3,1]") == (3, 1)
-    assert parse_partition("[]") == ()
+def test_format_partition():
     assert format_partition((3, 1)) == "[3,1]"
-    with pytest.raises(ValueError):
-        parse_partition("3,1")
-    with pytest.raises(ValueError):
-        parse_partition("[a]")
+    assert format_partition(()) == "[]"

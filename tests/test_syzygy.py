@@ -65,6 +65,20 @@ def test_schur_complex_term_two_step_flag():
         schur_complex_term(FlagShape(4, (2, 1)), (2, 1), 1, 0)
 
 
+def test_kernel_filtration_and_schur_complex_term_validate_inputs():
+    shape = FlagShape(5, (2, 1))
+    for a, match in (((3, 2, 1), "expected 2 line-bundle coefficients"),
+                     ((3,), "expected 2 line-bundle coefficients"),
+                     ((3.0, 1), "line-bundle coefficient must be an int")):
+        with pytest.raises(ValueError, match=match):
+            kernel_filtration(shape, a)
+        with pytest.raises(ValueError, match=match):
+            schur_complex_term(shape, a, 1, 1)
+    for level, j in ((True, 1), (1.0, 1), (1, True), (1, 1.5)):
+        with pytest.raises(ValueError, match="must be an int"):
+            schur_complex_term(shape, (3, 1), level, j)
+
+
 def test_schur_complex_weight_balance():
     for shape, a in [(FlagShape(5, (2, 1)), (3, 1)), (FlagShape(6, (3,)), (2,))]:
         for level in range(1, shape.k + 1):
@@ -164,6 +178,35 @@ def test_np_certify_monotone_in_gap(query):
     assert cert.query["gap"] == min(gaps)
     if cert.certified:
         assert np_certify(spec, suffix_sums([g + 1 for g in gaps]), p).certified
+
+
+@st.composite
+def catalog_query(draw):
+    """A type A, C, B/D, G2_X or G2_P catalog variety, an ample chain of k - 1,
+    k or k + 1 coefficients for its Picard rank k, and p <= 2."""
+    token = draw(st.sampled_from(["fl", "sfl", "ofl", "g2x", "g2p"]))
+    if token in ("fl", "sfl", "ofl"):
+        dims = suffix_sums(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        n = {"fl": dims[0] + draw(st.integers(1, 3)),
+             "sfl": 2 * dims[0] + draw(st.sampled_from([0, 2])),
+             "ofl": 2 * dims[0] + draw(st.integers(0, 3))}[token]
+        token = f"{token}({','.join(map(str, dims))};{n})"
+    spec = parse_variety(token)
+    arity = spec.shape.k + draw(st.integers(-1, 1))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=arity, max_size=arity))
+    return spec, suffix_sums(gaps), draw(st.integers(1, 2))
+
+
+@given(catalog_query())
+def test_certified_line_bundle_has_picard_rank_arity(query):
+    spec, a, p = query
+    try:
+        cert = np_certify(spec, a, p)
+    except ValueError as exc:
+        assert "line-bundle coefficients" in str(exc) and len(a) != spec.shape.k
+        return
+    if cert.certified:
+        assert len(cert.query["line_bundle"]) == spec.shape.k
 
 
 def test_np_certify_validation():

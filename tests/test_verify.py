@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from np_atlas.bott import BlockedWeight, bbw_cohomology, flag_dimension
+from np_atlas import cli, verify
+from np_atlas.bott import BlockedWeight, InversionBoundReport, bbw_cohomology, flag_dimension
 from np_atlas.geometry import FlagShape, quotient_ranks
 from np_atlas.verify import (
     run_suite,
@@ -23,6 +26,24 @@ def test_seeded_suites_reject_zero_cases():
     for suite in (suite_serre_duality, suite_bound_dominance):
         with pytest.raises(ValueError, match="--cases must be at least 1"):
             suite(cases=0)
+
+
+def test_bound_dominance_reports_violations(monkeypatch, capsys):
+    real = verify.inversion_bound
+
+    def exceeds_bound(*args):
+        report = real(*args)
+        if report.exact_inversions is None:
+            return report
+        return InversionBoundReport(report.bound + 1, report.bound, report.witness_config)
+
+    monkeypatch.setattr(verify, "inversion_bound", exceeds_bound)
+    summary = suite_bound_dominance(cases=5, seed=7)
+    assert summary["pass"] is False
+    assert len(summary["violations"]) == 5
+    assert cli.main(["verify", "bound-dominance", "--cases", "5"]) == cli.EXIT_NOT_CERTIFIED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and len(doc["violations"]) == 5
 
 
 def test_run_suite_unknown_name():
