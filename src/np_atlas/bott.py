@@ -9,6 +9,7 @@ sequence and the representation is read off from its descending sort.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import product
 
@@ -78,12 +79,12 @@ def rho_shift(w: BlockedWeight) -> tuple[int, ...]:
 
 def inversion_count(seq: tuple[int, ...]) -> int:
     """Number of pairs i < j with seq[i] < seq[j]."""
-    return sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] < seq[j]
-    )
+    count = 0
+    seen: list[int] = []  # entries right of the current one, sorted
+    for x in reversed(seq):
+        count += len(seen) - bisect_right(seen, x)
+        insort(seen, x)
+    return count
 
 
 def flag_dimension(ranks: tuple[int, ...]) -> int:
@@ -147,7 +148,7 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
     coeffs = tuple(coeffs) + (0,)
     if len(alpha) != len(ranks) - 1 or len(coeffs) != len(ranks):
         raise ValueError("block count mismatch")
-    if l <= 0:
+    if check_int("l", l) <= 0:
         raise ValueError("l must be positive")
     for a, b in zip(coeffs, coeffs[1:]):
         if a - b < l:
@@ -177,7 +178,7 @@ def twisted_vanishing_threshold(beta: tuple[tuple[int, ...], ...],
     degree above the returned value vanishes for every nef-Schur-power twist
     of the bundle; the all-zero configuration floors the result at 0.
     """
-    if l < 1:
+    if check_int("l", l) < 1:
         raise ValueError("l must be >= 1")
     ranks = tuple(ranks)
     for part, r in zip(beta, ranks):

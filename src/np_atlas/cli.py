@@ -7,6 +7,7 @@ Exit codes: 0 success (or certified), 1 not certified / suite failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -108,7 +109,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if summary["pass"] else EXIT_NOT_CERTIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The np-atlas argument parser, built once per process.
+
+    Each parse_args call returns a fresh Namespace, so the cached parser
+    carries no state from one main call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="np-atlas",
         description="Exact cohomology of homogeneous bundles and syzygy certification.",

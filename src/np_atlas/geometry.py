@@ -103,8 +103,10 @@ class VarietySpec:
     shape: FlagShape
 
     def __post_init__(self):
-        n, n1 = self.shape.n, self.shape.dims[0]
         fam = self.family
+        if not isinstance(fam, Family):
+            raise ValueError(f"family must be a Family, got {fam!r}")
+        n, n1 = self.shape.n, self.shape.dims[0]
         if fam is Family.C and n % 2:
             raise ValueError("type C needs even ambient dimension")
         if (fam is Family.C or fam in _ORTHOGONAL) and n1 > n // 2:

@@ -8,6 +8,7 @@ bundles and canonical twists can be handled uniformly.
 
 from __future__ import annotations
 
+from math import factorial, prod
 from typing import Iterable
 
 
@@ -91,8 +92,10 @@ def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, .
 def weyl_dimension(w: tuple[int, ...], n: int) -> int:
     """Dimension of the irreducible GL(n) representation of highest weight w.
 
-    w is a weakly decreasing integer tuple of length exactly n.  Exact
-    big-integer arithmetic; invariant under adding a constant to all entries.
+    w is a weakly decreasing integer tuple of length exactly n.  With
+    l_i = w_i - i the dimension is prod_{i<j} (l_i - l_j) / prod_{k<n} k!:
+    one product per row, then one exact big-integer division.  Invariant
+    under adding a constant to all entries.
     """
     w = tuple(check_int("weight entry", x) for x in w)
     if len(w) != n:
@@ -100,14 +103,11 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
     for a, b in zip(w, w[1:]):
         if a < b:
             raise ValueError(f"weight not weakly decreasing: {w}")
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
-    assert num % den == 0
-    return num // den
+    l = [x - i for i, x in enumerate(w)]
+    num = prod([prod([li - lj for lj in l[i + 1:]]) for i, li in enumerate(l)])
+    dim, rem = divmod(num, prod(map(factorial, range(1, n))))
+    assert rem == 0
+    return dim
 
 
 def format_partition(p: tuple[int, ...]) -> str:

@@ -1,6 +1,7 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from np_atlas.bott import (
     BlockedWeight,
@@ -42,6 +43,13 @@ def test_inversion_count_examples():
     assert inversion_count((-1, 1)) == 1
     assert inversion_count((3, 2, 1)) == 0
     assert inversion_count((-1, 0, 2)) == 3
+
+
+@given(st.lists(st.integers(-5, 5), max_size=30).map(tuple))
+@example(())
+def test_inversion_count_matches_double_loop(seq):
+    brute = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] < seq[j])
+    assert inversion_count(seq) == brute
 
 
 def test_flag_dimension():
@@ -141,3 +149,11 @@ def test_twisted_vanishing_threshold_monotone():
 def test_twisted_vanishing_threshold_length_check():
     with pytest.raises(ValueError):
         twisted_vanishing_threshold(((1, 1),), (1,), 1)
+
+
+def test_l_must_be_an_int():
+    for l in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="l must be an int"):
+            inversion_bound(((),), (1, 1), (2,), l)
+        with pytest.raises(ValueError, match="l must be an int"):
+            twisted_vanishing_threshold(((1,),), (1,), l)

@@ -6,7 +6,7 @@ import pytest
 
 from np_atlas import verify
 from np_atlas.bott import BlockedWeight, bbw_cohomology
-from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, main
+from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -183,3 +183,23 @@ def test_byte_identical_output(capsys):
     main(list(args))
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ("cohomology", "--shape", "fl(1;2)"),
+        ("verify", "serre-duality", "--cases", "20", "--seed", "5"),
+        ("verify", "serre-duality"),
+        ("np", "--spec", "sfl(6,5,3;12)", "--L", "3,2,1", "--p", "1"),
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv)[:2])
+    build_parser.cache_clear()
+    reused = [run(capsys, *argv)[:2] for argv in calls]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    args = build_parser().parse_args(["verify", "serre-duality"])
+    assert (args.cases, args.seed) == (None, None)

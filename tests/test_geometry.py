@@ -112,6 +112,12 @@ def test_variety_spec_validation():
     VarietySpec(Family.A, FlagShape(5, (2,)))
 
 
+def test_variety_spec_rejects_non_family():
+    for family in ("C", None, 2):
+        with pytest.raises(ValueError, match="family must be a Family"):
+            VarietySpec(family, FlagShape(6, (2,)))
+
+
 def test_variety_spec_orthogonal_family_follows_shape():
     # OG(2,10) is D_sub: mislabelled as a spinor variety it must not be built
     with pytest.raises(ValueError, match="make D_sub, not D_spinor"):

@@ -1,7 +1,8 @@
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from np_atlas.partitions import (
     conjugate,
@@ -101,6 +102,51 @@ def test_weyl_dimension_determinant_twist(p, c):
     n = max(len(p), 1)
     w = pad(p, n)
     assert weyl_dimension(w, n) == weyl_dimension(tuple(x + c for x in w), n)
+
+
+def _weyl_dimension_pairwise(w, n):
+    """Reference: one pairwise factor at a time, numerator and denominator."""
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+def _distinct_dominant_weight(n, rng):
+    """A weakly decreasing weight whose shifted entries w_i - i are distinct.
+
+    The draws are those of perfbench's non-vanishing blocked weights
+    (`workloads.bbw_weight`), sorted into the dominant weight whose
+    dimension bbw_cohomology computes."""
+    blocks = rng.randint(2, 4)
+    rng.sample(range(1, n), blocks - 1)  # block cuts: keep the draw sequence
+    shifted = rng.sample(range(-n, 2 * n), n)
+    return tuple(x + i + 1 for i, x in enumerate(sorted(shifted, reverse=True)))
+
+
+def test_weyl_dimension_matches_pairwise_on_benchmark_weights():
+    for n in range(4, 65, 4):
+        for variant in range(80):
+            w = _distinct_dominant_weight(n, random.Random(f"bbw-large:{n}:{variant}"))
+            assert weyl_dimension(w, n) == _weyl_dimension_pairwise(w, n)
+
+
+@given(st.lists(st.integers(-30, 30), max_size=40))
+@example([])
+def test_weyl_dimension_matches_pairwise(entries):
+    w = tuple(sorted(entries, reverse=True))
+    assert weyl_dimension(w, len(w)) == _weyl_dimension_pairwise(w, len(w))
+
+
+def test_weyl_dimension_matches_pairwise_large():
+    rng = random.Random(7)
+    for n in (100, 200):
+        w = _distinct_dominant_weight(n, rng)
+        assert weyl_dimension(w, n) == _weyl_dimension_pairwise(w, n)
 
 
 def test_format_partition():
