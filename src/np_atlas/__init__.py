@@ -10,7 +10,6 @@ from .bott import (
     inversion_bound,
     inversion_count,
     rho_shift,
-    twisted_vanishing_threshold,
 )
 from .geometry import (
     Family,
@@ -32,7 +31,6 @@ from .partitions import (
     weyl_dimension,
 )
 from .plethysm import (
-    leading_sum_bound,
     wedge_of_sym2,
     wedge_of_wedge2,
 )

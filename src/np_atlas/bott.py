@@ -52,14 +52,6 @@ class CohomologyResult:
     weight: tuple[int, ...] | None = None
     dimension: int | None = None
 
-    @staticmethod
-    def zero() -> "CohomologyResult":
-        return CohomologyResult(vanishes=True)
-
-    @staticmethod
-    def nonzero(degree: int, weight: tuple[int, ...], dimension: int) -> "CohomologyResult":
-        return CohomologyResult(False, degree, weight, dimension)
-
     def to_json_dict(self) -> dict:
         if self.vanishes:
             return {"status": "vanishes"}
@@ -100,12 +92,12 @@ def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
     """All cohomology of the Schur-power bundle attached to a blocked weight."""
     shifted = rho_shift(w)
     if len(set(shifted)) != len(shifted):
-        return CohomologyResult.zero()
+        return CohomologyResult(vanishes=True)
     degree = inversion_count(shifted)
     dominant = tuple(
         x + (i + 1) for i, x in enumerate(sorted(shifted, reverse=True))
     )
-    return CohomologyResult.nonzero(degree, dominant, weyl_dimension(dominant, w.n))
+    return CohomologyResult(False, degree, dominant, weyl_dimension(dominant, w.n))
 
 
 @dataclass(frozen=True)
@@ -121,19 +113,6 @@ class InversionBoundReport:
     witness_config: tuple[int, ...]
 
 
-def _config_values(blocks: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
-                   l: int):
-    """Yield (config, value) for every 0 <= s_i <= r_i over the tail blocks."""
-    padded = [pad(normalize(b), r) for b, r in zip(blocks, ranks)]
-    for config in product(*(range(r + 1) for r in ranks)):
-        value = (
-            sum(sum(p[:s]) for p, s in zip(padded, config))
-            - l * sum(config)
-            - sum(s * s for s in config)
-        )
-        yield config, value
-
-
 def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
                     coeffs: tuple[int, ...], l: int) -> InversionBoundReport:
     """Bound the cohomological degree of a twisted Schur-power bundle.
@@ -144,7 +123,7 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
     for i < k, a_k >= l > 0.  The exported bound is the maximum of the
     configuration expression over all admissible (s_2..s_{k+1}).
     """
-    ranks = tuple(ranks)
+    ranks = tuple(check_int("rank", r) for r in ranks)
     coeffs = tuple(coeffs) + (0,)
     if len(alpha) != len(ranks) - 1 or len(coeffs) != len(ranks):
         raise ValueError("block count mismatch")
@@ -156,32 +135,16 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
                 f"gap hypothesis violated: consecutive coefficients {a},{b} differ by < {l}"
             )
 
+    padded = [pad(normalize(part), r) for part, r in zip(alpha, ranks[1:])]
     blocks = [(coeffs[0],) * ranks[0]]
-    for part, r, a in zip(alpha, ranks[1:], coeffs[1:]):
-        blocks.append(tuple(x + a for x in pad(normalize(part), r)))
+    blocks += [tuple(x + a for x in part) for part, a in zip(padded, coeffs[1:])]
     result = bbw_cohomology(BlockedWeight(tuple(blocks)))
     exact = None if result.vanishes else result.degree
 
-    best_value = None
-    best_config = None
-    for config, value in _config_values(tuple(alpha), ranks[1:], l):
-        if best_value is None or value > best_value:
-            best_value, best_config = value, config
-    return InversionBoundReport(exact, best_value, best_config)
+    def value(config: tuple[int, ...]) -> int:
+        return (sum(sum(part[:s]) for part, s in zip(padded, config))
+                - l * sum(config) - sum(s * s for s in config))
 
-
-def twisted_vanishing_threshold(beta: tuple[tuple[int, ...], ...],
-                                ranks: tuple[int, ...], l: int) -> int:
-    """Largest degree that can carry cohomology after an ample gap-l twist.
-
-    beta lists partitions on blocks 2..k+1 with ranks (r_2..r_{k+1}).  Every
-    degree above the returned value vanishes for every nef-Schur-power twist
-    of the bundle; the all-zero configuration floors the result at 0.
-    """
-    if check_int("l", l) < 1:
-        raise ValueError("l must be >= 1")
-    ranks = tuple(ranks)
-    for part, r in zip(beta, ranks):
-        if len(normalize(part)) > r:
-            raise ValueError(f"partition {part} longer than block rank {r}")
-    return max(value for _, value in _config_values(tuple(beta), ranks, l))
+    # the first config, 0 <= s_i <= r_i on the tail blocks, of maximal value
+    best = max(product(*(range(r + 1) for r in ranks[1:])), key=value)
+    return InversionBoundReport(exact, value(best), best)

@@ -181,7 +181,7 @@ def koszul_terms(spec: VarietySpec, j: int) -> list[SchurSummand]:
     The defining bundle must be a wedge or sym square; the G2 Koszul twist is
     built by g2_koszul_twist_weight alone.
     """
-    if not 0 <= j <= w_rank(spec):
+    if not 0 <= check_int("j", j) <= w_rank(spec):
         raise ValueError(f"j={j} outside 0..{w_rank(spec)}")
     if j == 0:
         return [SchurSummand((), 1)]

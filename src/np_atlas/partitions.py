@@ -98,7 +98,7 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
     under adding a constant to all entries.
     """
     w = tuple(check_int("weight entry", x) for x in w)
-    if len(w) != n:
+    if len(w) != check_int("n", n):
         raise ValueError(f"weight {w} has length {len(w)}, expected {n}")
     for a, b in zip(w, w[1:]):
         if a < b:

@@ -11,10 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .partitions import conjugate, from_frobenius
-
-WEDGE2 = "wedge2"
-SYM2 = "sym2"
+from .partitions import check_int, conjugate, from_frobenius
 
 
 def _strict_arm_sequences(j: int) -> Iterator[tuple[int, ...]]:
@@ -42,37 +39,23 @@ def _wedge_of_wedge2_all(j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(shapes))
 
 
-def wedge_of_wedge2(j: int, n: int | None = None) -> list[tuple[int, ...]]:
+def _check_degree(j: int, n: int) -> None:
+    if check_int("j", j) < 0:
+        raise ValueError("j must be non-negative")
+    check_int("n", n)
+
+
+def wedge_of_wedge2(j: int, n: int) -> list[tuple[int, ...]]:
     """Schur constituents of the j-th wedge power of wedge^2 of an n-space.
 
     All constituents are multiplicity-free.  Length filtering happens last so
-    the n-independent list is cached across callers; pass n=None for the
-    unfiltered list.
+    the n-independent list is cached across callers.
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    shapes = _wedge_of_wedge2_all(j)
-    if n is None:
-        return list(shapes)
-    return [s for s in shapes if len(s) <= n]
+    _check_degree(j, n)
+    return [s for s in _wedge_of_wedge2_all(j) if len(s) <= n]
 
 
-def wedge_of_sym2(j: int, n: int | None = None) -> list[tuple[int, ...]]:
+def wedge_of_sym2(j: int, n: int) -> list[tuple[int, ...]]:
     """Schur constituents of the j-th wedge power of the symmetric square."""
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    shapes = sorted(conjugate(s) for s in _wedge_of_wedge2_all(j))
-    if n is None:
-        return list(shapes)
-    return [s for s in shapes if len(s) <= n]
-
-
-def leading_sum_bound(kind: str, j: int, s: int) -> int:
-    """Upper bound for the sum of the first s rows of any constituent shape."""
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if kind == WEDGE2:
-        return j + s * (s - 1) // 2
-    if kind == SYM2:
-        return j + s * (s + 1) // 2
-    raise ValueError(f"unknown kind {kind!r}")
+    _check_degree(j, n)
+    return sorted(c for c in map(conjugate, _wedge_of_wedge2_all(j)) if len(c) <= n)

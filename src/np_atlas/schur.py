@@ -22,11 +22,8 @@ class SchurSummand(NamedTuple):
     multiplicity: int
 
 
-def partitions_of(n: int, max_part: int | None = None,
-                  max_length: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n subject to optional part/length caps."""
-    if max_part is None:
-        max_part = n
+def partitions_of(n: int, *, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, with at most max_length parts when given."""
     if max_length is None:
         max_length = n
 
@@ -40,10 +37,10 @@ def partitions_of(n: int, max_part: int | None = None,
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from rec(n, max_part, max_length)
+    yield from rec(n, n, max_length)
 
 
-def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...], cap: tuple[int, ...] | None = None,
+def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
                  max_length: int | None = None) -> dict[tuple[int, ...], int]:
     """Count LR skew tableaux of shape lam/mu (mu inside lam), binned by content.
 
@@ -51,16 +48,13 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...], cap: tuple[int, ...]
     within a row) so the lattice-word condition can be enforced on the fly;
     it keeps the value counts weakly decreasing, so each content is a
     partition.  An entry in row i (0-based) is at most i + 1 and at most
-    max_length; with cap, value v is used at most cap[v - 1] times.  The
-    walk follows the skew-tableau iterator of Buch's lrcalc
+    max_length.  The walk follows the skew-tableau iterator of Buch's lrcalc
     (https://sites.math.rutgers.edu/~asbuch/lrcalc/).
     """
     rows = len(lam)
     mu = pad(mu, rows)
     cells = [(i, j) for i in range(rows) for j in range(lam[i] - 1, mu[i] - 1, -1)]
     top = rows if max_length is None else min(rows, max_length)
-    if cap is not None:
-        top = min(top, len(cap))
     grid = [[0] * r for r in lam]
     counts = [0] * top
     out: dict[tuple[int, ...], int] = {}
@@ -76,8 +70,6 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...], cap: tuple[int, ...]
         for v in range(lo, hi + 1):
             if v > 1 and counts[v - 1] >= counts[v - 2]:
                 continue  # lattice condition: prefix counts stay weakly decreasing
-            if cap is not None and counts[v - 1] >= cap[v - 1]:
-                continue
             grid[i][j] = v
             counts[v - 1] += 1
             rec(pos + 1)
@@ -96,7 +88,7 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
         return 0
     if not contains(lam, mu) or not contains(lam, nu):
         return 0
-    return _lr_fillings(lam, mu, cap=nu).get(nu, 0)
+    return _lr_fillings(lam, mu).get(nu, 0)
 
 
 def skew_decompose(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:

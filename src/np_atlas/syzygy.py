@@ -221,7 +221,7 @@ def _query(spec: VarietySpec, a: tuple[int, ...], l: int, p: int) -> dict:
 def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
     if spec.family in (Family.G2_X, Family.G2_P):
-        return g2_np_certify(spec, p, a=a)
+        return g2_np_certify(spec, a, p)
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     a = check_line_bundle(spec.shape, a)
@@ -260,8 +260,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     )
 
 
-def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
-                  a: tuple[int, ...] | None = None) -> NpCertificate:
+def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Exhaustively certify (N_p) on the two nontrivial G2 varieties.
 
     The sufficient vanishings behind the certification are finite once
@@ -272,12 +271,6 @@ def g2_np_certify(spec: VarietySpec, p: int, l: int | None = None,
         raise ValueError("p must be >= 1")
     if spec.family not in (Family.G2_X, Family.G2_P):
         raise ValueError("exhaustive certification covers only the two G2 varieties")
-    if l is not None and a is not None:
-        raise ValueError("give either a gap l or coefficients a, not both")
-    if a is None:
-        if l is None or check_int("gap l", l) < 1:
-            raise ValueError("need a gap l >= 1 or explicit coefficients")
-        a = (l,) if spec.family is Family.G2_X else (2 * l, l)
     a = check_line_bundle(spec.shape, a)
     l = decompose_ample(a)
 

@@ -124,8 +124,8 @@ def test_criterion_8_g2():
     gp = parse_variety("g2p")
     for p in range(1, 4):
         for l in range(p, 6):
-            assert g2_np_certify(gx, p, l=l).certified, ("g2x", p, l)
-            assert g2_np_certify(gp, p, a=(2 * l, l)).certified, ("g2p", p, l)
+            assert g2_np_certify(gx, (l,), p).certified, ("g2x", p, l)
+            assert g2_np_certify(gp, (2 * l, l), p).certified, ("g2p", p, l)
     report(8, "G2 vanishing pattern and exhaustive certification (l >= p, p <= 3)",
            time.perf_counter() - start, 60)
 

@@ -10,7 +10,6 @@ from np_atlas.bott import (
     inversion_bound,
     inversion_count,
     rho_shift,
-    twisted_vanishing_threshold,
 )
 from np_atlas.partitions import weyl_dimension
 
@@ -128,32 +127,7 @@ def test_inversion_bound_vanishing_instance():
     assert report.exact_inversions is None
 
 
-def test_twisted_vanishing_threshold_examples():
-    assert twisted_vanishing_threshold(((), ()), (1, 2), 1) == 0
-    assert twisted_vanishing_threshold(((3,),), (1,), 1) == 1
-    assert twisted_vanishing_threshold(((3,),), (1,), 3) == 0
-
-
-def test_twisted_vanishing_threshold_monotone():
-    betas = [((3,), (2, 1)), ((4, 2), ()), ((1,), (1, 1))]
-    ranks = (2, 2)
-    for beta in betas:
-        values = [twisted_vanishing_threshold(beta, ranks, l) for l in range(1, 6)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        grown = tuple(tuple(x + 1 for x in b) if b else (1,) for b in beta)
-        for l in range(1, 6):
-            assert twisted_vanishing_threshold(grown, ranks, l) >= \
-                twisted_vanishing_threshold(beta, ranks, l)
-
-
-def test_twisted_vanishing_threshold_length_check():
-    with pytest.raises(ValueError):
-        twisted_vanishing_threshold(((1, 1),), (1,), 1)
-
-
 def test_l_must_be_an_int():
     for l in (1.5, 2.0, True):
         with pytest.raises(ValueError, match="l must be an int"):
             inversion_bound(((),), (1, 1), (2,), l)
-        with pytest.raises(ValueError, match="l must be an int"):
-            twisted_vanishing_threshold(((1,),), (1,), l)

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from np_atlas.bott import bbw_cohomology, flag_dimension
+from np_atlas.bott import bbw_cohomology, flag_dimension, inversion_bound
 from np_atlas.geometry import (
     AMPLE,
     Family,
@@ -28,6 +28,7 @@ from np_atlas.geometry import (
     w_rank,
 )
 from np_atlas.partitions import pad, weyl_dimension
+from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
 from np_atlas.schur import SchurSummand
 
 
@@ -176,6 +177,25 @@ def test_w_rank_and_koszul_terms():
     for token in ("fl(1;2)", "g2x", "g2p"):
         with pytest.raises(ValueError):
             koszul_terms(parse_variety(token), 1)
+
+
+def test_degrees_and_ranks_must_be_ints():
+    spec = parse_variety("sfl(3;6)")
+    calls = [
+        lambda: wedge_of_wedge2(1.5, 3),
+        lambda: wedge_of_wedge2(2, 3.5),
+        lambda: wedge_of_sym2(True, 3),
+        lambda: wedge_of_sym2(1, 2.0),
+        lambda: koszul_terms(spec, 1.0),
+        lambda: koszul_terms(spec, True),
+        lambda: weyl_dimension((1, 0), 2.0),
+        lambda: weyl_dimension((1,), True),
+        lambda: inversion_bound(((),), (1.0, 1), (1,), 1),
+        lambda: inversion_bound(((),), (1, True), (1,), 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
 
 
 def test_koszul_dimension_identity():

@@ -1,15 +1,7 @@
 from math import comb
 
-import pytest
-
 from np_atlas.partitions import conjugate, pad, weyl_dimension
-from np_atlas.plethysm import (
-    SYM2,
-    WEDGE2,
-    leading_sum_bound,
-    wedge_of_sym2,
-    wedge_of_wedge2,
-)
+from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
 from np_atlas.schur import filtration_quotients
 
 
@@ -33,9 +25,10 @@ def test_length_filter():
 
 
 def test_conjugate_duality():
+    # a partition of 2j has at most 2j rows, so n = 2j keeps every constituent
     for j in range(7):
-        assert sorted(wedge_of_sym2(j, None)) == sorted(
-            conjugate(s) for s in wedge_of_wedge2(j, None)
+        assert sorted(wedge_of_sym2(j, 2 * j)) == sorted(
+            conjugate(s) for s in wedge_of_wedge2(j, 2 * j)
         )
 
 
@@ -48,34 +41,29 @@ def test_dimension_identity_small():
             assert total == comb(n * (n + 1) // 2, j)
 
 
-def test_leading_sum_bound_examples():
-    assert leading_sum_bound(WEDGE2, 2, 1) == 2
-    assert leading_sum_bound(SYM2, 2, 1) == 3
-    assert leading_sum_bound(WEDGE2, 3, 2) == 4
-    assert leading_sum_bound(WEDGE2, 2, 2) == 3
-    assert leading_sum_bound(SYM2, 1, 1) == 2
-    assert leading_sum_bound(WEDGE2, 0, 3) == 3
-    with pytest.raises(ValueError):
-        leading_sum_bound("other", 1, 1)
+def leading_sums(sign, j, s):
+    """j + s(s - 1)/2 (sign -1, wedge^2) or j + s(s + 1)/2 (sign +1, sym^2): the
+    largest sum of s rows of a constituent of the j-th wedge power."""
+    return j + s * (s + sign) // 2
 
 
 def test_bound_saturation():
     # every constituent respects the bound; each family attains it at s = 1
-    for kind, gen in ((WEDGE2, wedge_of_wedge2), (SYM2, wedge_of_sym2)):
+    for sign, gen in ((-1, wedge_of_wedge2), (1, wedge_of_sym2)):
         for j in range(1, 7):
             attained = False
-            for shape in gen(j, None):
+            for shape in gen(j, 2 * j):
                 for s in range(1, len(shape) + 1):
-                    assert sum(shape[:s]) <= leading_sum_bound(kind, j, s), (
-                        kind,
+                    assert sum(shape[:s]) <= leading_sums(sign, j, s), (
+                        sign,
                         j,
                         shape,
                         s,
                     )
-            for shape in gen(j, None):
-                if shape[0] == leading_sum_bound(kind, j, 1):
+            for shape in gen(j, 2 * j):
+                if shape[0] == leading_sums(sign, j, 1):
                     attained = True
-            assert attained, (kind, j)
+            assert attained, (sign, j)
 
 
 def compositions_up_to(total_cap, length_cap):
@@ -93,10 +81,10 @@ def compositions_up_to(total_cap, length_cap):
     return out
 
 
-def test_leading_sum_bound_on_filtration_quotients():
+def test_wedge2_leading_sums_on_filtration_quotients():
     # any s entries across a quotient tuple of a wedge2 constituent obey the bound
     for j in range(4):
-        for alpha in wedge_of_wedge2(j, None):
+        for alpha in wedge_of_wedge2(j, 2 * j):
             for ranks in compositions_up_to(6, 3):
                 if len(alpha) > sum(ranks):
                     continue
@@ -105,7 +93,7 @@ def test_leading_sum_bound_on_filtration_quotients():
                         (x for rho in summand.shape for x in rho), reverse=True
                     )
                     for s in range(1, len(entries) + 1):
-                        assert sum(entries[:s]) <= leading_sum_bound(WEDGE2, j, s), (
+                        assert sum(entries[:s]) <= leading_sums(-1, j, s), (
                             j,
                             alpha,
                             ranks,

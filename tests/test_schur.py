@@ -99,6 +99,7 @@ def test_skew_decompose_matches_tensor_decompose():
             for nu in partitions_of(sum(lam) - sum(mu)):
                 product = dict(tensor_decompose(mu, nu, len(lam)))
                 assert skew.get(nu, 0) == product.get(lam, 0), (lam, mu, nu)
+                assert lr_coefficient(lam, mu, nu) == product.get(lam, 0), (lam, mu, nu)
             assert all(sum(nu) == sum(lam) - sum(mu) for nu in skew), (lam, mu)
 
 

@@ -233,21 +233,16 @@ def test_certificate_json_schema():
 def test_g2_certify_examples():
     gx = parse_variety("g2x")
     gp = parse_variety("g2p")
-    assert g2_np_certify(gx, 1, l=1).certified
-    assert g2_np_certify(gp, 1, a=(2, 1)).certified
-    cert = g2_np_certify(gx, 3, l=1)
+    assert g2_np_certify(gx, (1,), 1).certified
+    assert g2_np_certify(gp, (2, 1), 1).certified
+    cert = g2_np_certify(gx, (1,), 3)
     assert cert.trace  # exhaustive sweep is always recorded
     with pytest.raises(ValueError):
-        g2_np_certify(gx, 0, l=1)
+        g2_np_certify(gx, (1,), 0)
     with pytest.raises(ValueError):
-        g2_np_certify(gp, 1, a=(1, 1))
+        g2_np_certify(gp, (1, 1), 1)
     with pytest.raises(ValueError):
-        g2_np_certify(parse_variety("sfl(2;6)"), 1, l=1)
-
-
-def test_g2_certify_rejects_gap_and_coefficients_together():
-    with pytest.raises(ValueError, match="give either a gap l or coefficients a, not both"):
-        g2_np_certify(parse_variety("g2x"), 1, l=5, a=(1,))
+        g2_np_certify(parse_variety("sfl(2;6)"), (1,), 1)
 
 
 def test_np_certify_routes_g2():
@@ -277,10 +272,7 @@ G2_CERTIFICATE_DIGESTS = {
 def test_g2_certificates_pinned():
     for (token, p, l), digest in G2_CERTIFICATE_DIGESTS.items():
         spec = parse_variety(token)
-        if token == "g2x":
-            cert = g2_np_certify(spec, p, l=l)
-        else:
-            cert = g2_np_certify(spec, p, a=(2 * l, l))
+        cert = g2_np_certify(spec, (l,) if token == "g2x" else (2 * l, l), p)
         text = json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (token, p, l)
 
@@ -340,11 +332,11 @@ def test_integer_inputs_only():
         with pytest.raises(ValueError, match="p must be an int"):
             np_certify(spec, (3, 2, 1), p)
         with pytest.raises(ValueError, match="p must be an int"):
-            g2_np_certify(gx, p, l=1)
+            g2_np_certify(gx, (1,), p)
     with pytest.raises(ValueError, match="rank must be an int"):
         np_threshold("C", (2.0,), 1)
     for l in (1.0, True):
-        with pytest.raises(ValueError, match="gap l must be an int"):
-            g2_np_certify(gx, 1, l=l)
+        with pytest.raises(ValueError, match="line-bundle coefficient must be an int"):
+            g2_np_certify(gx, (l,), 1)
     with pytest.raises(ValueError, match="line-bundle coefficient must be an int"):
         np_certify(spec, (3, 2, 1.0), 1)
