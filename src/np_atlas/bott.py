@@ -13,7 +13,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import product
 
-from .partitions import check_int, normalize, pad, weyl_dimension
+from .partitions import _shifted_dimension, check_int, normalize, pad
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,10 @@ def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
     if len(set(shifted)) != len(shifted):
         return CohomologyResult(vanishes=True)
     degree = inversion_count(shifted)
-    dominant = tuple(
-        x + (i + 1) for i, x in enumerate(sorted(shifted, reverse=True))
-    )
-    return CohomologyResult(False, degree, dominant, weyl_dimension(dominant, w.n))
+    descending = sorted(shifted, reverse=True)
+    dominant = tuple(x + (i + 1) for i, x in enumerate(descending))
+    # descending is the dominant weight's l_i = w_i - i, up to a constant
+    return CohomologyResult(False, degree, dominant, _shifted_dimension(descending))
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,16 @@ def _wedge_of_wedge2_all(j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(shapes))
 
 
+@lru_cache(maxsize=None)
+def _wedge_of_sym2_all(j: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(map(conjugate, _wedge_of_wedge2_all(j))))
+
+
 def _check_degree(j: int, n: int) -> None:
     if check_int("j", j) < 0:
         raise ValueError("j must be non-negative")
-    check_int("n", n)
+    if check_int("n", n) < 0:
+        raise ValueError("n must be non-negative")
 
 
 def wedge_of_wedge2(j: int, n: int) -> list[tuple[int, ...]]:
@@ -58,4 +64,4 @@ def wedge_of_wedge2(j: int, n: int) -> list[tuple[int, ...]]:
 def wedge_of_sym2(j: int, n: int) -> list[tuple[int, ...]]:
     """Schur constituents of the j-th wedge power of the symmetric square."""
     _check_degree(j, n)
-    return sorted(c for c in map(conjugate, _wedge_of_wedge2_all(j)) if len(c) <= n)
+    return [s for s in _wedge_of_sym2_all(j) if len(s) <= n]

@@ -1,12 +1,14 @@
 import json
 import re
 import sys
+import time
 
 import pytest
 
 from np_atlas import verify
 from np_atlas.bott import BlockedWeight, bbw_cohomology
 from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, build_parser, main
+from test_partitions import _weyl_dimension_pairwise, wide_span_weight
 
 
 def run(capsys, *argv):
@@ -58,6 +60,19 @@ def test_cohomology_large_dimension(capsys):
     assert int(digits[:20]) == expected // 10 ** (len(digits) - 20)
     assert int(digits[-20:]) == expected % 10 ** 20
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_cohomology_wide_span_weight(capsys):
+    n = 64
+    w = wide_span_weight(n)
+    weight = ",".join("[" + ",".join(map(str, b)) + "]" for b in (w[:32], w[32:]))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cohomology", "--shape", "fl(32;64)", "--weight", weight)
+    assert time.perf_counter() - start < 0.25
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["degree"], doc["weight"]) == (0, list(w))
+    assert doc["dimension"] == _weyl_dimension_pairwise(w, n)
 
 
 def test_cohomology_parse_error(capsys):

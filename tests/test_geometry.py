@@ -196,6 +196,10 @@ def test_degrees_and_ranks_must_be_ints():
     for call in calls:
         with pytest.raises(ValueError, match="must be an int"):
             call()
+    for j, n in ((2, -3), (0, -1), (-1, 3)):
+        for gen in (wedge_of_wedge2, wedge_of_sym2):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                gen(j, n)
 
 
 def test_koszul_dimension_identity():

@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -71,6 +73,10 @@ def test_weyl_dimension_examples():
         assert weyl_dimension((d, 0), 2) == d + 1
     assert weyl_dimension((0, 0, 0), 3) == 1
     assert weyl_dimension((2, 1, 1, 0), 4) == 15
+    # dense shifted entries: at n >= 256 a difference occurs 256 times or more
+    for n in (24, 255, 256, 300):
+        assert weyl_dimension((7,) * n, n) == 1
+        assert weyl_dimension((5,) + (0,) * (n - 1), n) == comb(n + 4, 5)  # Sym^5
 
 
 def test_weyl_dimension_rejects_non_int_entries():
@@ -135,7 +141,16 @@ def test_weyl_dimension_matches_pairwise_on_benchmark_weights():
             assert weyl_dimension(w, n) == _weyl_dimension_pairwise(w, n)
 
 
-@given(st.lists(st.integers(-30, 30), max_size=40))
+@st.composite
+def weight_entries(draw):
+    """n either side of the histogram path's crossover at n = 20, and spans
+    of the shifted entries either side of its limit of one unit per pair."""
+    n = draw(st.integers(0, 64))
+    bound = draw(st.sampled_from((30, 1000, 10**6)))
+    return draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+
+
+@given(weight_entries())
 @example([])
 def test_weyl_dimension_matches_pairwise(entries):
     w = tuple(sorted(entries, reverse=True))
@@ -143,10 +158,26 @@ def test_weyl_dimension_matches_pairwise(entries):
 
 
 def test_weyl_dimension_matches_pairwise_large():
+    # n = 300 counts differences in two-byte slots
     rng = random.Random(7)
-    for n in (100, 200):
+    for n in (100, 200, 300):
         w = _distinct_dominant_weight(n, rng)
         assert weyl_dimension(w, n) == _weyl_dimension_pairwise(w, n)
+
+
+def wide_span_weight(n):
+    """(10**12, n - 2, ..., 1, 0): a span far above the n(n-1)/2 pairs."""
+    return (10**12,) + tuple(range(n - 2, -1, -1))
+
+
+def test_weyl_dimension_wide_span_is_fast():
+    # a difference histogram over 10**12 byte slots would not fit in memory
+    n = 64
+    w = wide_span_weight(n)
+    start = time.perf_counter()
+    dim = weyl_dimension(w, n)
+    assert time.perf_counter() - start < 0.25
+    assert dim == _weyl_dimension_pairwise(w, n)
 
 
 def test_format_partition():
