@@ -81,6 +81,7 @@ def inversion_count(seq: tuple[int, ...]) -> int:
 
 def flag_dimension(ranks: tuple[int, ...]) -> int:
     """Dimension of the flag variety with the given quotient ranks."""
+    ranks = tuple(check_int("rank", r) for r in ranks)
     total = 0
     for i in range(len(ranks)):
         for j in range(i + 1, len(ranks)):

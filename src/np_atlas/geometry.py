@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
 from .partitions import check_int, normalize, pad
@@ -30,10 +31,18 @@ class Family(Enum):
     G2_P = "G2_P"
 
 
-W_NONE = "none"
-W_WEDGE2 = "wedge2_sub"
-W_SYM2 = "sym2_sub"
-W_G2 = "g2_twist"
+_ORTHOGONAL = (Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED)
+
+# The defining bundle of each family's embedding into its ambient flag.  C is
+# cut out by wedge^2 and the orthogonal families and G2_Q by S^2 of the
+# tautological sub-bundle of rank n1; an entry is the generator of the
+# square's wedge powers and the shift in its rank comb(n1 + shift, 2).
+_DEFINING_SQUARE = {
+    Family.C: (wedge_of_wedge2, 0),
+    **dict.fromkeys(_ORTHOGONAL + (Family.G2_Q,), (wedge_of_sym2, 1)),
+}
+# the two G2 varieties cut out by the G2 Koszul twist; A has no defining bundle
+G2_TWISTED = (Family.G2_X, Family.G2_P)
 
 # each G2 family lives on a fixed flag of 7-space
 G2_DIMS = {Family.G2_X: (2,), Family.G2_P: (2, 1), Family.G2_Q: (1,)}
@@ -64,18 +73,6 @@ def quotient_ranks(shape: FlagShape) -> tuple[int, ...]:
     """Ranks (r_1..r_{k+1}) of the successive tautological quotients."""
     dims = (shape.n,) + shape.dims + (0,)
     return tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
-
-
-# the defining bundle of each family's embedding into its ambient flag
-_W_KIND = {
-    Family.A: W_NONE,
-    Family.C: W_WEDGE2,
-    Family.B: W_SYM2, Family.D_SUB: W_SYM2, Family.D_SPINOR: W_SYM2, Family.D_MIXED: W_SYM2,
-    Family.G2_Q: W_SYM2,
-    Family.G2_X: W_G2, Family.G2_P: W_G2,
-}
-
-_ORTHOGONAL = (Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED)
 
 
 def _orthogonal_family(shape: FlagShape) -> Family:
@@ -117,34 +114,31 @@ class VarietySpec:
         if fam in G2_DIMS and (n != 7 or self.shape.dims != G2_DIMS[fam]):
             raise ValueError(f"{fam.value} lives on Fl{G2_DIMS[fam]} in 7-space")
 
-    @property
-    def w_kind(self) -> str:
-        """Kind of the defining bundle of the embedding, read from the family."""
-        return _W_KIND[self.family]
-
 
 AMPLE = "ample"
 NEF_NOT_AMPLE = "nef_not_ample"
 NOT_NEF = "not_nef"
 
 
+def _least_gap(a: tuple[int, ...]) -> int:
+    """min(a_i - a_{i+1}, a_k) of an int coefficient chain; 0 for the empty chain."""
+    chain = tuple(check_int("line-bundle coefficient", x) for x in a) + (0,)
+    return min((x - y for x, y in zip(chain, chain[1:])), default=0)
+
+
 def positivity(a: tuple[int, ...]) -> str:
     """Classify a line bundle by its coefficient chain in the det-quotient basis."""
-    a = tuple(a)
-    if all(x > y for x, y in zip(a, a[1:])) and (a[-1] if a else 0) > 0:
-        return AMPLE
-    if all(x >= y for x, y in zip(a, a[1:])) and (a[-1] if a else 0) >= 0:
-        return NEF_NOT_AMPLE
-    return NOT_NEF
+    gap = _least_gap(a)
+    return AMPLE if gap > 0 else NEF_NOT_AMPLE if gap == 0 else NOT_NEF
 
 
 def decompose_ample(a: tuple[int, ...]) -> int:
     """Largest l with L = H^l (x) M, H ample and M nef."""
     a = tuple(a)
-    if positivity(a) != AMPLE:
+    gap = _least_gap(a)
+    if gap <= 0:
         raise ValueError(f"line bundle {a} is not ample")
-    gaps = [x - y for x, y in zip(a, a[1:])] + [a[-1]]
-    return min(gaps)
+    return gap
 
 
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,14 +159,17 @@ def canonical_weight(shape: FlagShape) -> BlockedWeight:
     return BlockedWeight(tuple(blocks))
 
 
+def _defining_square(spec: VarietySpec) -> tuple:
+    """The wedge-power generator and the rank of spec's defining square."""
+    if spec.family not in _DEFINING_SQUARE:
+        raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")
+    wedges, shift = _DEFINING_SQUARE[spec.family]
+    return wedges, comb(spec.shape.dims[0] + shift, 2)
+
+
 def w_rank(spec: VarietySpec) -> int:
     """Rank of the wedge- or sym-square defining bundle of the embedding."""
-    n1 = spec.shape.dims[0]
-    if spec.w_kind == W_WEDGE2:
-        return n1 * (n1 - 1) // 2
-    if spec.w_kind == W_SYM2:
-        return n1 * (n1 + 1) // 2
-    raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")
+    return _defining_square(spec)[1]
 
 
 def koszul_terms(spec: VarietySpec, j: int) -> list[SchurSummand]:
@@ -181,13 +178,10 @@ def koszul_terms(spec: VarietySpec, j: int) -> list[SchurSummand]:
     The defining bundle must be a wedge or sym square; the G2 Koszul twist is
     built by g2_koszul_twist_weight alone.
     """
-    if not 0 <= check_int("j", j) <= w_rank(spec):
-        raise ValueError(f"j={j} outside 0..{w_rank(spec)}")
-    if j == 0:
-        return [SchurSummand((), 1)]
-    n1 = spec.shape.dims[0]
-    shapes = wedge_of_wedge2(j, n1) if spec.w_kind == W_WEDGE2 else wedge_of_sym2(j, n1)
-    return [SchurSummand(s, 1) for s in shapes]
+    wedges, rank = _defining_square(spec)
+    if not 0 <= check_int("j", j) <= rank:
+        raise ValueError(f"j={j} outside 0..{rank}")
+    return [SchurSummand(s, 1) for s in wedges(j, spec.shape.dims[0])]
 
 
 def grassmannian_pushforward(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -218,9 +212,9 @@ def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int,
     block (a1, a2) itself; on G2_P, (t, s) adds t to the second coefficient's
     block and makes s the last block.
     """
-    if spec.w_kind != W_G2:
-        raise ValueError("not a G2 catalog entry")
-    if not 0 <= j <= 5:
+    if spec.family not in G2_TWISTED:
+        raise ValueError(f"{spec.family.value} is not cut out by the G2 Koszul twist")
+    if not 0 <= check_int("j", j) <= 5:
         raise ValueError("G2 Koszul terms exist for 0 <= j <= 5")
     a = check_line_bundle(spec.shape, a)
     block1 = tuple(x + a[0] - j for x in _g2_column(j))
@@ -255,14 +249,12 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     twisted by the line bundle, must have no cohomology in the matching
     degree.  The trace lists every Bott-Borel-Weil evaluation performed.
     """
-    if spec.w_kind == W_NONE:
-        raise ValueError("variety has no defining bundle")
     a = check_line_bundle(spec.shape, a)
     if positivity(a) != AMPLE:
         raise ValueError(f"line bundle {a} is not ample")
 
     tasks: list[tuple[int, tuple[int, ...], tuple[int, ...], int, BlockedWeight]] = []
-    if spec.w_kind == W_G2:
+    if spec.family in G2_TWISTED:
         for j in range(1, 6):
             column = _g2_column(j)
             tasks.append((j, column, column, 1, g2_koszul_twist_weight(spec, a, j)))

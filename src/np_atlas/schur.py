@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .partitions import contains, normalize, pad, weight
+from .partitions import check_int, contains, normalize, pad, weight
 
 
 class SchurSummand(NamedTuple):
@@ -116,7 +116,6 @@ def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
     return sorted(SchurSummand(shape, c) for shape, c in fillings.items())
 
 
-@lru_cache(maxsize=None)
 def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     """The Schur polynomial s_lam(x_1..x_m) as {exponent vector: coefficient}.
 
@@ -124,8 +123,15 @@ def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     zero polynomial when lam has more than m rows.
     """
     lam = normalize(lam)
-    if m < 1:
+    if check_int("m", m) < 1:
         raise ValueError("need at least one variable")
+    return _schur_character(lam, m)
+
+
+# cached behind the checks: 2.0 and True hash like 2 and 1, so a cache in
+# front of them would answer a float or bool that an int call cached
+@lru_cache(maxsize=None)
+def _schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     if len(lam) > m:
         return {}
     poly: dict[tuple[int, ...], int] = {}

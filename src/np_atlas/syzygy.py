@@ -18,6 +18,7 @@ from fractions import Fraction
 from .bott import bbw_cohomology, flag_dimension
 from .geometry import (
     AMPLE,
+    G2_TWISTED,
     Family,
     FlagShape,
     NEF_NOT_AMPLE,
@@ -186,12 +187,12 @@ class NpCertificate:
         }
 
 
-def _clause_for(family: str, spec: VarietySpec, l: int, p: int, certified: bool) -> str:
+def _clause_for(spec: VarietySpec, l: int, p: int, certified: bool) -> str:
     if not certified:
         return "none"
     n1 = spec.shape.dims[0]
     k = spec.shape.k
-    if family == TYPE_C:
+    if spec.family is Family.C:
         if k <= 2 and l >= p:
             return "C:pic-rank-le-2"
         if l >= p and Fraction(p) >= Fraction(n1, 2) - 1:
@@ -220,7 +221,7 @@ def _query(spec: VarietySpec, a: tuple[int, ...], l: int, p: int) -> dict:
 
 def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
-    if spec.family in (Family.G2_X, Family.G2_P):
+    if spec.family in G2_TWISTED:
         return g2_np_certify(spec, a, p)
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
@@ -253,7 +254,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     return NpCertificate(
         query,
         CERTIFIED if certified else NOT_CERTIFIED,
-        _clause_for(family, spec, l, p, certified),
+        _clause_for(spec, l, p, certified),
         thr.value,
         thr.witness_config,
         trace,
@@ -269,14 +270,13 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     """
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
-    if spec.family not in (Family.G2_X, Family.G2_P):
+    if spec.family not in G2_TWISTED:
         raise ValueError("exhaustive certification covers only the two G2 varieties")
     a = check_line_bundle(spec.shape, a)
     l = decompose_ample(a)
 
     dim = flag_dimension(quotient_ranks(spec.shape))
     trace = []
-    violations = 0
     for j in range(6):
         for i in range(1, p + 2):
             if spec.family is Family.G2_X:
@@ -286,8 +286,6 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
                         a2 = t - a1
                         res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (a1, a2)))
                         ok = res.vanishes or res.degree != required
-                        if not ok:
-                            violations += 1
                         trace.append((j, i, t, a1, a2, required,
                                       "ok" if ok else "violation"))
             else:
@@ -297,12 +295,10 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
                         bound = j - i + s + t
                         res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (t, s)))
                         ok = res.vanishes or res.degree <= bound
-                        if not ok:
-                            violations += 1
                         trace.append((j, i, s, t, bound,
                                       "ok" if ok else "violation"))
 
-    certified = violations == 0
+    certified = all(row[-1] == "ok" for row in trace)
     return NpCertificate(
         _query(spec, a, l, p),
         CERTIFIED if certified else NOT_CERTIFIED,

@@ -26,7 +26,7 @@ from .geometry import (
     quotient_ranks,
     restriction_surjectivity_check,
 )
-from .partitions import pad, weyl_dimension
+from .partitions import check_int, pad, weyl_dimension
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import character_product, partitions_of, schur_character, tensor_decompose
 from .syzygy import TYPE_BD, TYPE_C, np_threshold
@@ -40,9 +40,10 @@ def _random_shape(rng: random.Random, max_n: int) -> FlagShape:
     return FlagShape(n, tuple(sorted(rng.sample(range(1, n), k), reverse=True)))
 
 
-def _check_cases(cases: int) -> None:
-    if cases < 1:
+def _check_cases_and_seed(cases: int, seed: int) -> None:
+    if check_int("cases", cases) < 1:
         raise ValueError(f"--cases must be at least 1, got {cases}")
+    check_int("seed", seed)
 
 
 def suite_plethysm_dims() -> dict:
@@ -77,7 +78,7 @@ def serre_dual(w: BlockedWeight, shape: FlagShape) -> BlockedWeight:
 
 def suite_serre_duality(cases: int = 500, seed: int = DEFAULT_SEED) -> dict:
     """bbw(w) sits in degree d iff bbw(dual of w) sits in degree dim - d."""
-    _check_cases(cases)
+    _check_cases_and_seed(cases, seed)
     rng = random.Random(seed)
     failures = []
     for _ in range(cases):
@@ -128,14 +129,14 @@ def suite_g2_lemma() -> dict:
 RESTRICTION_CATALOG = ("sfl(2;6)", "sfl(2,1;6)", "ofl(2;7)", "ofl(2,1;7)")
 
 
-def suite_restriction_surjectivity(gaps: tuple[int, ...] = (1, 2, 3)) -> dict:
+def suite_restriction_surjectivity() -> dict:
     """Ambient sections surject for ample pullbacks across the small catalog."""
     failures = []
     checked = 0
     for token in RESTRICTION_CATALOG:
         spec = parse_variety(token)
         k = spec.shape.k
-        for l in gaps:
+        for l in (1, 2, 3):
             coeffs = tuple(l * (k - i) for i in range(k))
             report = restriction_surjectivity_check(spec, coeffs)
             checked += 1
@@ -151,7 +152,7 @@ def suite_restriction_surjectivity(gaps: tuple[int, ...] = (1, 2, 3)) -> dict:
 
 def suite_bound_dominance(cases: int = 1000, seed: int = DEFAULT_SEED) -> dict:
     """Randomized dominance of the config bound over exact inversion counts."""
-    _check_cases(cases)
+    _check_cases_and_seed(cases, seed)
     rng = random.Random(seed)
     ok = 0
     violations = []

@@ -132,7 +132,7 @@ def test_criterion_8_g2():
 
 def test_criterion_9_restriction_surjectivity():
     start = time.perf_counter()
-    summary = suite_restriction_surjectivity(gaps=(1, 2, 3))
+    summary = suite_restriction_surjectivity()
     assert summary["pass"], summary
     assert summary["checked"] == 12
     report(9, "restriction surjectivity across the small isotropic catalog",

@@ -9,10 +9,6 @@ from np_atlas.geometry import (
     FlagShape,
     NEF_NOT_AMPLE,
     NOT_NEF,
-    W_G2,
-    W_NONE,
-    W_SYM2,
-    W_WEDGE2,
     VarietySpec,
     canonical_weight,
     check_line_bundle,
@@ -29,7 +25,7 @@ from np_atlas.geometry import (
 )
 from np_atlas.partitions import pad, weyl_dimension
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
-from np_atlas.schur import SchurSummand
+from np_atlas.schur import SchurSummand, schur_character
 
 
 def test_flag_shape_validation():
@@ -77,6 +73,9 @@ def test_decompose_ample_examples():
     assert decompose_ample((1,)) == 1
     with pytest.raises(ValueError):
         decompose_ample((1, 1))
+    with pytest.raises(ValueError, match="is not ample"):
+        decompose_ample(())
+    assert positivity(()) == NEF_NOT_AMPLE
 
 
 def test_canonical_weight_projective_spaces():
@@ -130,7 +129,7 @@ def test_variety_spec_orthogonal_family_follows_shape():
             parsed = parse_variety(f"ofl({n1};{n})").family
             for fam in orthogonal:
                 if fam is parsed:
-                    assert VarietySpec(fam, shape).w_kind == W_SYM2
+                    assert koszul_terms(VarietySpec(fam, shape), 1) == [SchurSummand((2,), 1)]
                 else:
                     with pytest.raises(ValueError):
                         VarietySpec(fam, shape)
@@ -138,7 +137,7 @@ def test_variety_spec_orthogonal_family_follows_shape():
 
 def test_parse_variety_catalog():
     spec = parse_variety("sfl(6,5,3;12)")
-    assert spec.family is Family.C and spec.w_kind == W_WEDGE2
+    assert spec.family is Family.C
     assert spec.shape == FlagShape(12, (6, 5, 3))
     assert parse_variety("fl(2,1;5)").family is Family.A
     assert parse_variety("ofl(2;7)").family is Family.B
@@ -148,9 +147,6 @@ def test_parse_variety_catalog():
     assert parse_variety("g2x").family is Family.G2_X
     assert parse_variety("g2p").family is Family.G2_P
     assert parse_variety("g2q").family is Family.G2_Q
-    for token, kind in (("fl(2,1;5)", W_NONE), ("ofl(2;7)", W_SYM2), ("ofl(4;8)", W_SYM2),
-                        ("g2q", W_SYM2), ("g2x", W_G2), ("g2p", W_G2)):
-        assert parse_variety(token).w_kind == kind
     with pytest.raises(ValueError):
         parse_variety("xfl(1;2)")
     with pytest.raises(ValueError):
@@ -174,9 +170,35 @@ def test_w_rank_and_koszul_terms():
     assert koszul_terms(c, 0) == [SchurSummand((), 1)]
     with pytest.raises(ValueError):
         koszul_terms(c, 4)
-    for token in ("fl(1;2)", "g2x", "g2p"):
-        with pytest.raises(ValueError):
-            koszul_terms(parse_variety(token), 1)
+
+
+# one catalog entry per family, with the square of its defining bundle: wedge^2
+# for C, S^2 for the orthogonal families and G2_Q, and none for A (no defining
+# bundle) or for G2_X and G2_P (the G2 Koszul twist)
+SQUARES = {
+    "fl(2,1;5)": None, "sfl(3,1;8)": wedge_of_wedge2, "ofl(3;7)": wedge_of_sym2,
+    "ofl(2;8)": wedge_of_sym2, "ofl(3;8)": wedge_of_sym2, "ofl(4,2;8)": wedge_of_sym2,
+    "g2q": wedge_of_sym2, "g2x": None, "g2p": None,
+}
+
+
+def test_defining_square_follows_family():
+    specs = {token: parse_variety(token) for token in SQUARES}
+    assert {spec.family for spec in specs.values()} == set(Family)
+    for token, square in SQUARES.items():
+        spec = specs[token]
+        if square is None:
+            refusal = f"{spec.family.value} has no wedge- or sym-square defining bundle"
+            for call in (lambda: w_rank(spec), lambda: koszul_terms(spec, 1)):
+                with pytest.raises(ValueError, match=refusal):
+                    call()
+            continue
+        n1 = spec.shape.dims[0]
+        # the rank is the dimension of the square's one first wedge power
+        (first,) = square(1, n1)
+        assert w_rank(spec) == weyl_dimension(pad(first, n1), n1)
+        for j in range(w_rank(spec) + 1):
+            assert [s.shape for s in koszul_terms(spec, j)] == square(j, n1)
 
 
 def test_degrees_and_ranks_must_be_ints():
@@ -192,6 +214,15 @@ def test_degrees_and_ranks_must_be_ints():
         lambda: weyl_dimension((1,), True),
         lambda: inversion_bound(((),), (1.0, 1), (1,), 1),
         lambda: inversion_bound(((),), (1, True), (1,), 1),
+        lambda: flag_dimension((1.5, 2)),
+        lambda: g2_koszul_twist_weight(parse_variety("g2x"), (2,), 1.0),
+        lambda: g2_koszul_twist_weight(parse_variety("g2x"), (2,), True),
+        lambda: decompose_ample((2.5, 1.5)),
+        lambda: decompose_ample((True,)),
+        lambda: positivity((3, 1.5)),
+        lambda: positivity((True, 0)),
+        lambda: schur_character((1,), 2.0),
+        lambda: schur_character((1,), True),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="must be an int"):
@@ -236,8 +267,12 @@ def test_g2_koszul_twist_weight():
     assert w.blocks == ((3, 2, 2, 2, 2), (1,), (0,))
     w = g2_koszul_twist_weight(gp, (3, 1), 1, (2, 5))
     assert w.blocks == ((3, 2, 2, 2, 2), (3,), (5,))
-    with pytest.raises(ValueError):
-        g2_koszul_twist_weight(parse_variety("sfl(2;6)"), (1,), 1)
+    for token in SQUARES:
+        spec = parse_variety(token)
+        if spec.family in (Family.G2_X, Family.G2_P):
+            continue
+        with pytest.raises(ValueError, match="is not cut out by the G2 Koszul twist"):
+            g2_koszul_twist_weight(spec, (2,) * spec.shape.k, 1)
 
 
 def test_restriction_surjectivity_small_cases():
@@ -247,7 +282,7 @@ def test_restriction_surjectivity_small_cases():
     assert report.ok
     with pytest.raises(ValueError):
         restriction_surjectivity_check(parse_variety("sfl(2;6)"), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="A has no wedge- or sym-square defining bundle"):
         restriction_surjectivity_check(parse_variety("fl(2;6)"), (1,))
 
 

@@ -3,6 +3,8 @@
 A name in np_atlas.__all__ counts as reached when the library modules or the
 benchmark use it outside its own top-level def or class, either in code or,
 in perfbench, as a "module.name" string (the tracer names its targets so).
+Every module-level function, class and constant of the library modules is
+held to the same rule, so a leftover helper or constant is caught too.
 """
 
 import ast
@@ -19,13 +21,23 @@ DOTTED = re.compile(r"(\w+)\.(\w+)")
 
 
 def _used_names(node: ast.AST) -> set[str]:
+    """Names read in node: loaded names and attributes, never assignment targets."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             names.add(sub.attr)
     return names
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
 def _references() -> tuple[set[str], set[tuple[str, str]]]:
@@ -59,3 +71,15 @@ def test_every_public_function_and_class_is_reached():
         if name not in names and (module, name) not in dotted:
             unreached.append(f"{module}.{name}")
     assert not unreached, f"public names only tests reach: {unreached}"
+
+
+def test_every_module_level_name_is_read():
+    names, dotted = _references()
+    unread = []
+    for path in FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            for name in _defined_names(stmt):
+                if name not in names and (path.stem, name) not in dotted:
+                    unread.append(f"{path.stem}.{name}")
+    assert not unread, f"module-level names no code reads: {unread}"

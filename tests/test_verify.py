@@ -26,6 +26,9 @@ def test_seeded_suites_reject_zero_cases():
     for suite in (suite_serre_duality, suite_bound_dominance):
         with pytest.raises(ValueError, match="--cases must be at least 1"):
             suite(cases=0)
+        for kwargs in ({"cases": 2.5}, {"cases": True}, {"seed": 1.5}, {"seed": False}):
+            with pytest.raises(ValueError, match="must be an int"):
+                suite(**kwargs)
 
 
 def test_bound_dominance_reports_violations(monkeypatch, capsys):
