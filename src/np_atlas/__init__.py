@@ -8,8 +8,6 @@ from .bott import (
     bbw_cohomology,
     flag_dimension,
     inversion_bound,
-    inversion_count,
-    rho_shift,
 )
 from .geometry import (
     Family,
@@ -27,7 +25,6 @@ from .geometry import (
 )
 from .partitions import (
     conjugate,
-    from_frobenius,
     weyl_dimension,
 )
 from .plethysm import (

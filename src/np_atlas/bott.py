@@ -63,13 +63,13 @@ class CohomologyResult:
         }
 
 
-def rho_shift(w: BlockedWeight) -> tuple[int, ...]:
+def _rho_shift(w: BlockedWeight) -> tuple[int, ...]:
     """Concatenated weight minus (1, 2, ..., n)."""
     seq = w.concat()
     return tuple(x - (i + 1) for i, x in enumerate(seq))
 
 
-def inversion_count(seq: tuple[int, ...]) -> int:
+def _inversion_count(seq: tuple[int, ...]) -> int:
     """Number of pairs i < j with seq[i] < seq[j]."""
     count = 0
     seen: list[int] = []  # entries right of the current one, sorted
@@ -91,10 +91,10 @@ def flag_dimension(ranks: tuple[int, ...]) -> int:
 
 def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
     """All cohomology of the Schur-power bundle attached to a blocked weight."""
-    shifted = rho_shift(w)
+    shifted = _rho_shift(w)
     if len(set(shifted)) != len(shifted):
         return CohomologyResult(vanishes=True)
-    degree = inversion_count(shifted)
+    degree = _inversion_count(shifted)
     descending = sorted(shifted, reverse=True)
     dominant = tuple(x + (i + 1) for i, x in enumerate(descending))
     # descending is the dominant weight's l_i = w_i - i, up to a constant

@@ -15,7 +15,6 @@ import sys
 from .bott import BlockedWeight, bbw_cohomology
 from .geometry import parse_shape, parse_variety, quotient_ranks
 from .syzygy import SCHEMA_VERSION, np_certify, np_threshold
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -104,6 +103,8 @@ def cmd_np_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite  # here, so other subcommands never load the suites
+
     summary = run_suite(args.suite, cases=args.cases, seed=args.seed)
     _emit(summary)
     return EXIT_OK if summary["pass"] else EXIT_NOT_CERTIFIED

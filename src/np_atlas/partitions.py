@@ -64,7 +64,7 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for row in p if row > j) for j in range(p[0]))
 
 
-def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:
+def _from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:
     """The partition with Frobenius coordinates (arms | legs).
 
     Row i of the diagonal block has arms[i] + i + 1 cells and column i has

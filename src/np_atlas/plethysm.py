@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .partitions import check_int, conjugate, from_frobenius
+from .partitions import _from_frobenius, check_int, conjugate
 
 
 def _strict_arm_sequences(j: int) -> Iterator[tuple[int, ...]]:
@@ -35,7 +35,7 @@ def _wedge_of_wedge2_all(j: int) -> tuple[tuple[int, ...], ...]:
     shapes = []
     for arms in _strict_arm_sequences(j):
         legs = tuple(m + 1 for m in arms)
-        shapes.append(from_frobenius(arms, legs))
+        shapes.append(_from_frobenius(arms, legs))
     return tuple(sorted(shapes))
 
 

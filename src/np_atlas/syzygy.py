@@ -6,12 +6,16 @@ symplectic case and the analogue with (s+1)/2 in the orthogonal case.  The
 gap l of the queried bundle certifies (N_p) exactly when l is at least the
 threshold.  Each row is an integer numerator over 2s and comparisons
 cross-multiply integers, so the arithmetic stays exact and never uses floats.
+A process computes each threshold once per (family, ranks, p) and reuses it
+for the certificates that ask for it again; the clause a certificate names is
+also picked by cross-multiplied integer tests.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
 sweep.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,6 +147,14 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     ranks = tuple(check_int("rank", r) for r in ranks)
     if not ranks or any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
+    return _threshold(family, ranks, p)
+
+
+# Behind np_threshold's checks, so 2.0 and True never reach the cache, where
+# they would hash like 2 and 1.  A certificate asks for the threshold its
+# caller has usually just computed; the result is frozen, so sharing it is safe.
+@functools.lru_cache(maxsize=256)
+def _threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult:
     sign = -1 if family == TYPE_C else 1
     table = []
     best = None  # (num, den, value, config) of the first maximal row
@@ -187,24 +199,27 @@ class NpCertificate:
         }
 
 
-def _clause_for(spec: VarietySpec, l: int, p: int, certified: bool) -> str:
-    if not certified:
-        return "none"
-    n1 = spec.shape.dims[0]
-    k = spec.shape.k
-    if spec.family is Family.C:
+def _clause_for(family: Family, n1: int, k: int, l: int, p: int) -> str:
+    """The clause that certifies gap l at p, for a certified B/C/D query.
+
+    n1 is the first dimension of the flag and k its Picard rank.  The bounds
+    p >= n1/2 - 1 and l >= (p+1)/n1 + (n1-3)/2 are compared multiplied out
+    by 2 and by 2*n1 (n1 >= 1), so no Fraction is built; BD reads p+1 for p
+    and n1-1 for n1-3.
+    """
+    if family is Family.C:
         if k <= 2 and l >= p:
             return "C:pic-rank-le-2"
-        if l >= p and Fraction(p) >= Fraction(n1, 2) - 1:
+        if l >= p and 2 * p >= n1 - 2:
             return "C:large-p"
-        if Fraction(l) >= max(Fraction(p), Fraction(p + 1, n1) + Fraction(n1 - 3, 2)):
+        if l >= p and 2 * n1 * l >= 2 * (p + 1) + n1 * (n1 - 3):
             return "C:general-bound"
         return "C:config-max"
     if k <= 2 and l >= p + 1:
         return "BD:pic-rank-le-2"
-    if l >= p + 1 and Fraction(p + 1) >= Fraction(n1, 2) - 1:
+    if l >= p + 1 and 2 * (p + 1) >= n1 - 2:
         return "BD:large-p"
-    if Fraction(l) >= max(Fraction(p + 1), Fraction(p + 1, n1) + Fraction(n1 - 1, 2)):
+    if l >= p + 1 and 2 * n1 * l >= 2 * (p + 1) + n1 * (n1 - 1):
         return "BD:general-bound"
     return "BD:config-max"
 
@@ -254,7 +269,8 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     return NpCertificate(
         query,
         CERTIFIED if certified else NOT_CERTIFIED,
-        _clause_for(spec, l, p, certified),
+        _clause_for(spec.family, spec.shape.dims[0], spec.shape.k, l, p)
+        if certified else "none",
         thr.value,
         thr.witness_config,
         trace,

@@ -5,11 +5,11 @@ from hypothesis import example, given, strategies as st
 
 from np_atlas.bott import (
     BlockedWeight,
+    _inversion_count,
+    _rho_shift,
     bbw_cohomology,
     flag_dimension,
     inversion_bound,
-    inversion_count,
-    rho_shift,
 )
 from np_atlas.partitions import weyl_dimension
 
@@ -32,23 +32,23 @@ def test_blocked_weight_rejects_non_int_entries():
 
 
 def test_rho_shift_examples():
-    assert rho_shift(BlockedWeight(((2,), (0,)))) == (1, -2)
-    assert rho_shift(BlockedWeight(((0,), (3,)))) == (-1, 1)
-    assert rho_shift(BlockedWeight(((1, 1), (0,)))) == (0, -1, -3)
+    assert _rho_shift(BlockedWeight(((2,), (0,)))) == (1, -2)
+    assert _rho_shift(BlockedWeight(((0,), (3,)))) == (-1, 1)
+    assert _rho_shift(BlockedWeight(((1, 1), (0,)))) == (0, -1, -3)
 
 
 def test_inversion_count_examples():
-    assert inversion_count((1, -1)) == 0
-    assert inversion_count((-1, 1)) == 1
-    assert inversion_count((3, 2, 1)) == 0
-    assert inversion_count((-1, 0, 2)) == 3
+    assert _inversion_count((1, -1)) == 0
+    assert _inversion_count((-1, 1)) == 1
+    assert _inversion_count((3, 2, 1)) == 0
+    assert _inversion_count((-1, 0, 2)) == 3
 
 
 @given(st.lists(st.integers(-5, 5), max_size=30).map(tuple))
 @example(())
 def test_inversion_count_matches_double_loop(seq):
     brute = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] < seq[j])
-    assert inversion_count(seq) == brute
+    assert _inversion_count(seq) == brute
 
 
 def test_flag_dimension():

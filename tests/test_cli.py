@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import np_atlas
 from np_atlas import verify
 from np_atlas.bott import BlockedWeight, bbw_cohomology
 from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -218,3 +222,12 @@ def test_parser_reuse_leaks_no_state(capsys):
     assert [code for code, _ in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
     args = build_parser().parse_args(["verify", "serre-duality"])
     assert (args.cases, args.seed) == (None, None)
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(Path(np_atlas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, np_atlas.cli; print('np_atlas.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

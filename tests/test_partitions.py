@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from np_atlas.partitions import (
+    _from_frobenius,
     conjugate,
     format_partition,
-    from_frobenius,
     normalize,
     pad,
     weyl_dimension,
@@ -33,13 +33,13 @@ def test_conjugate_involutive(p):
 
 
 def test_frobenius_examples():
-    assert from_frobenius((1,), (2,)) == (2, 1, 1)
-    assert from_frobenius((2,), (1,)) == (3, 1)
-    assert from_frobenius((1, 0), (2, 1)) == (2, 2, 2)
-    assert from_frobenius((), ()) == ()
+    assert _from_frobenius((1,), (2,)) == (2, 1, 1)
+    assert _from_frobenius((2,), (1,)) == (3, 1)
+    assert _from_frobenius((1, 0), (2, 1)) == (2, 2, 2)
+    assert _from_frobenius((), ()) == ()
     for arms, legs in (((1,), ()), ((0, 1), (1, 0)), ((1,), (-1,))):
         with pytest.raises(ValueError):
-            from_frobenius(arms, legs)
+            _from_frobenius(arms, legs)
 
 
 def test_from_frobenius_enumerates_partitions():
@@ -48,10 +48,10 @@ def test_from_frobenius_enumerates_partitions():
     strict = [tuple(reversed(c)) for r in range(3) for c in combinations(range(8), r)]
     pairs = [(arms, legs) for arms in strict for legs in strict
              if len(arms) == len(legs) and sum(arms) + sum(legs) + len(arms) <= 8]
-    built = [from_frobenius(arms, legs) for arms, legs in pairs]
+    built = [_from_frobenius(arms, legs) for arms, legs in pairs]
     assert sorted(built) == sorted([()] + [p for w in range(1, 9) for p in partitions_of(w)])
     for arms, legs in pairs:
-        assert from_frobenius(legs, arms) == conjugate(from_frobenius(arms, legs))
+        assert _from_frobenius(legs, arms) == conjugate(_from_frobenius(arms, legs))
 
 
 def test_normalize_rejects_bad_input():

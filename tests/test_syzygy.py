@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from np_atlas.geometry import FlagShape, parse_variety
+from np_atlas.geometry import Family, FlagShape, parse_variety
 from np_atlas.syzygy import (
     CERTIFIED,
     NOT_CERTIFIED,
     SCHEMA_VERSION,
+    _clause_for,
     g2_np_certify,
     kernel_filtration,
     np_certify,
@@ -118,6 +119,49 @@ def test_np_threshold_validation():
         np_threshold("C", (1,), 0)
     with pytest.raises(ValueError):
         np_threshold("C", (), 1)
+
+
+def test_np_threshold_cache_sits_behind_the_checks():
+    # the valid calls come first, so a cache in front of the checks would
+    # answer the float and bool look-alikes from these entries
+    first = np_threshold("C", (2,), 1)
+    np_threshold("C", (2,), 2)
+    np_threshold("BD", (1,), 1)
+    for family, ranks, p in [("C", (2.0,), 1), ("C", (2,), True), ("C", (2,), 1.0),
+                             ("BD", (True,), 1)]:
+        with pytest.raises(ValueError, match="must be an int"):
+            np_threshold(family, ranks, p)
+    assert np_threshold("C", (2,), 1) == first
+    assert np_threshold("C", [2], 1) == first
+
+
+def _clause_by_fractions(family, n1, k, l, p):
+    """The clause picked with the bounds written as Fractions: the oracle."""
+    if family is Family.C:
+        if k <= 2 and l >= p:
+            return "C:pic-rank-le-2"
+        if l >= p and Fraction(p) >= Fraction(n1, 2) - 1:
+            return "C:large-p"
+        if Fraction(l) >= max(Fraction(p), Fraction(p + 1, n1) + Fraction(n1 - 3, 2)):
+            return "C:general-bound"
+        return "C:config-max"
+    if k <= 2 and l >= p + 1:
+        return "BD:pic-rank-le-2"
+    if l >= p + 1 and Fraction(p + 1) >= Fraction(n1, 2) - 1:
+        return "BD:large-p"
+    if Fraction(l) >= max(Fraction(p + 1), Fraction(p + 1, n1) + Fraction(n1 - 1, 2)):
+        return "BD:general-bound"
+    return "BD:config-max"
+
+
+def test_clause_integer_tests_match_fractions():
+    for family in (Family.C, Family.B):
+        for n1 in range(1, 25):
+            for k in range(1, 6):
+                for l in range(1, 30):
+                    for p in range(1, 20):
+                        assert _clause_for(family, n1, k, l, p) == _clause_by_fractions(
+                            family, n1, k, l, p), (family, n1, k, l, p)
 
 
 def test_np_certify_remark_case():
