@@ -125,7 +125,7 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
     configuration expression over all admissible (s_2..s_{k+1}).
     """
     ranks = tuple(check_int("rank", r) for r in ranks)
-    coeffs = tuple(coeffs) + (0,)
+    coeffs = tuple(check_int("line-bundle coefficient", c) for c in coeffs) + (0,)
     if len(alpha) != len(ranks) - 1 or len(coeffs) != len(ranks):
         raise ValueError("block count mismatch")
     if check_int("l", l) <= 0:

@@ -79,16 +79,10 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
     return out
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
                    nu: tuple[int, ...]) -> int:
     """Multiplicity of S^lam inside S^mu (x) S^nu."""
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if weight(lam) != weight(mu) + weight(nu):
-        return 0
-    if not contains(lam, mu) or not contains(lam, nu):
-        return 0
-    return _lr_fillings(lam, mu).get(nu, 0)
+    return skew_decompose(lam, mu).get(normalize(nu), 0)
 
 
 def skew_decompose(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:

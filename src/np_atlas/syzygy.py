@@ -10,7 +10,7 @@ A process computes each threshold once per (family, ranks, p) and reuses it
 for the certificates that ask for it again; the clause a certificate names is
 also picked by cross-multiplied integer tests.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
-sweep.
+sweep that evaluates each distinct Koszul twist once.
 """
 
 from __future__ import annotations
@@ -280,9 +280,13 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
 def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Exhaustively certify (N_p) on the two nontrivial G2 varieties.
 
-    The sufficient vanishings behind the certification are finite once
-    degrees above the ambient dimension are discarded; every required
-    Bott-Borel-Weil evaluation is run and recorded in the trace.
+    Row (j, i, t, tail) reads the Bott-Borel-Weil degree of the j-th Koszul
+    twist with a tail of total t >= i: G2_X forbids degree 1 + j - i + t and
+    G2_P any degree above j - i + t.  A degree counts inversions between
+    blocks, so it is at most the ambient dimension dim.  Past t = i + dim + 5
+    the G2_X degree is >= j + dim + 7 and the G2_P bound >= j + dim + 6, both
+    above dim, so the rows there are vacuous and the sweep stops.  Each twist
+    is evaluated once.
     """
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
@@ -292,27 +296,27 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     l = decompose_ample(a)
 
     dim = flag_dimension(quotient_ranks(spec.shape))
+    g2x = spec.family is Family.G2_X
+    totals = range(1, p + dim + 7)  # row totals reach i + dim + 5, with i <= p + 1
+    tails = {t: [(a1, t - a1) for a1 in range((t + 1) // 2, t + 1)] if g2x
+             else [(t - s, s) for s in range(t + 1)] for t in totals}
+    # the twist depends on (j, tail) and not on i: evaluate each one once
+    results = {(j, tail): bbw_cohomology(g2_koszul_twist_weight(spec, a, j, tail))
+               for j in range(6) for t in totals for tail in tails[t]}
     trace = []
     for j in range(6):
         for i in range(1, p + 2):
-            if spec.family is Family.G2_X:
-                for t in range(i, i + dim + 6):
-                    required = 1 + j - i + t
-                    for a1 in range((t + 1) // 2, t + 1):
-                        a2 = t - a1
-                        res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (a1, a2)))
-                        ok = res.vanishes or res.degree != required
-                        trace.append((j, i, t, a1, a2, required,
-                                      "ok" if ok else "violation"))
-            else:
-                for total in range(i, i + dim + 6):
-                    for s in range(total + 1):
-                        t = total - s
-                        bound = j - i + s + t
-                        res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (t, s)))
-                        ok = res.vanishes or res.degree <= bound
-                        trace.append((j, i, s, t, bound,
-                                      "ok" if ok else "violation"))
+            for t in range(i, i + dim + 6):
+                d = j - i + t  # G2_X forbids degree d + 1, G2_P allows up to d
+                for tail in tails[t]:
+                    res = results[j, tail]
+                    if g2x:
+                        ok = res.vanishes or res.degree != d + 1
+                        row = (j, i, t, *tail, d + 1)
+                    else:
+                        ok = res.vanishes or res.degree <= d
+                        row = (j, i, tail[1], tail[0], d)
+                    trace.append(row + ("ok" if ok else "violation",))
 
     certified = all(row[-1] == "ok" for row in trace)
     return NpCertificate(

@@ -1,0 +1,94 @@
+"""Every exported callable refuses a float or a bool where it takes an int.
+
+CALLS holds one valid call per callable in np_atlas.__all__.  The valid call
+runs first, so any cache is warm; then each int leaf of its arguments (inside
+tuples, not inside built objects, which have calls of their own) is replaced
+by x + 0.5, by float(x) and, where x is 1, by True, and every such call must
+raise ValueError.  A new exported callable fails the test until it has an
+entry.
+"""
+
+import pytest
+
+import np_atlas
+from np_atlas import (
+    BlockedWeight,
+    Family,
+    FlagShape,
+    VarietySpec,
+    parse_variety,
+)
+
+SHAPE = FlagShape(6, (3, 1))
+SPEC = VarietySpec(Family.C, SHAPE)
+G2X = parse_variety("g2x")
+G2P = parse_variety("g2p")
+
+# name -> positional arguments of one valid call; None marks a result record,
+# which the library builds and no caller hands in
+CALLS = {
+    "BlockedWeight": (((2, 1), (0,)),),
+    "CohomologyResult": None,
+    "Family": ("C",),
+    "FlagShape": (6, (3, 1)),
+    "InversionBoundReport": None,
+    "NpCertificate": None,
+    "SchurSummand": None,
+    "ThresholdResult": None,
+    "VarietySpec": (Family.C, SHAPE),
+    "bbw_cohomology": (BlockedWeight(((2, 1), (0,))),),
+    "canonical_weight": (SHAPE,),
+    "conjugate": ((3, 1),),
+    "decompose_ample": ((3, 1),),
+    "filtration_quotients": ((2, 1), (1, 2)),
+    "flag_dimension": ((2, 1, 3),),
+    "g2_np_certify": (G2P, (2, 1), 1),
+    "grassmannian_pushforward": (SHAPE, (3, 1)),
+    "inversion_bound": (((1,), (1,)), (1, 1, 1), (3, 1), 1),
+    "kernel_filtration": (SHAPE, (3, 1)),
+    "koszul_terms": (SPEC, 1),
+    "lr_coefficient": ((2, 1), (1,), (1,)),
+    "np_certify": (SPEC, (3, 1), 1),
+    "np_threshold": ("C", (2, 1), 1),
+    "parse_shape": ("fl(3,1;6)",),
+    "parse_variety": ("sfl(3,1;6)",),
+    "positivity": ((3, 1),),
+    "quotient_ranks": (SHAPE,),
+    "restriction_surjectivity_check": (G2X, (1,)),
+    "schur_character": ((2, 1), 2),
+    "schur_complex_term": (SHAPE, (3, 1), 1, 1),
+    "skew_decompose": ((3, 1), (1,)),
+    "tensor_decompose": ((1,), (1,), 2),
+    "wedge_of_sym2": (1, 3),
+    "wedge_of_wedge2": (1, 3),
+    "weyl_dimension": ((2, 1, 0), 3),
+}
+
+
+def _variants(value):
+    """Copies of nested tuples with one int leaf replaced by a float or a bool."""
+    if type(value) is int:
+        yield from [value + 0.5, float(value)] + ([True] if value == 1 else [])
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            for bad in _variants(item):
+                yield value[:i] + (bad,) + value[i + 1:]
+
+
+def test_every_exported_callable_has_a_call():
+    assert set(CALLS) == {n for n in np_atlas.__all__ if callable(getattr(np_atlas, n))}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items() if args is not None))
+def test_int_leaves_refuse_floats_and_bools(name):
+    fn = getattr(np_atlas, name)
+    args = CALLS[name]
+    fn(*args)
+    accepted = []
+    for bad_args in _variants(args):
+        try:
+            fn(*bad_args)
+        except ValueError:
+            continue
+        accepted.append(bad_args)
+    assert not accepted, f"{name} accepted {accepted}"

@@ -121,6 +121,10 @@ def test_lr_coefficient_symmetric_in_factors(triple):
 
 
 def test_malformed_schur_input_rejected():
+    assert lr_coefficient((2,), (1,), (1,)) == 1  # a warm int call answers no float
+    for lam, mu, nu in (((2.0,), (1,), (1,)), ((2,), (True,), (1,)), ((2,), (1,), (1.0,))):
+        with pytest.raises(ValueError, match="partition entries must be ints"):
+            lr_coefficient(lam, mu, nu)
     with pytest.raises(ValueError, match="partition entries must be ints"):
         tensor_decompose((1.9,), (1,), 2)
     with pytest.raises(ValueError, match="max_length must be a non-negative int"):

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from np_atlas.geometry import Family, FlagShape, parse_variety
+from np_atlas import syzygy
+from np_atlas.bott import bbw_cohomology, flag_dimension
+from np_atlas.geometry import (
+    Family,
+    FlagShape,
+    g2_koszul_twist_weight,
+    parse_variety,
+    quotient_ranks,
+)
 from np_atlas.syzygy import (
     CERTIFIED,
     NOT_CERTIFIED,
@@ -296,7 +304,8 @@ def test_np_certify_routes_g2():
 
 
 # sha256 of the canonical certificate JSON, keyed by (variety, p, l): pins every
-# trace row of the exhaustive sweep, not just the verdict
+# trace row of the exhaustive sweep, not just the verdict; gap 1 at p = 3 and
+# p = 10 is not certified, so violation rows are pinned as well
 G2_CERTIFICATE_DIGESTS = {
     ("g2x", 1, 1): "4e65b4b5002ec2dc50f0d1702f8e3cf10f7a65b875eb77fbf0047124b9845024",
     ("g2x", 1, 2): "a6e362d1437daa693112b7cdaf82fa1442a36267c816dd3b43ae69d28cd4d727",
@@ -304,12 +313,18 @@ G2_CERTIFICATE_DIGESTS = {
     ("g2x", 2, 3): "0c6af686ba99286bd9b63aaf65cb746d8319437fa3695fc88a1b43e3903944db",
     ("g2x", 3, 3): "344bab5163a9d8fce60b5db3e9ff0dd087ff327d3c08f515bac032e971efa7b0",
     ("g2x", 3, 4): "cd810906d1e0b14ac4ec33bdfbf31611024178d7554067d082b557d6b115238d",
+    ("g2x", 3, 1): "22432c92496cf8a67f25c405ba6816cd75dceac6b786a79eebb1544d045f47b2",
+    ("g2x", 10, 1): "3fd2efb42cbb0afef98d60dee3de486af0d6496ee1bac4b10381c293a5bf6ccf",
+    ("g2x", 10, 10): "e93ab9ffa2f0f28bff6c0dfc0b4e0439a93fe1317306885981832b445e3d57a5",
     ("g2p", 1, 1): "68a936d9513883466d65a11eb37361b04d8db80d87d49463799f46bb02319ebe",
     ("g2p", 1, 2): "70cfa93a49d24170b41a344d56e782a9150e79e6aaea82401fa6798a07962400",
     ("g2p", 2, 2): "162fdb28c380ccecfa98363c51d1db55e60c54c92d64025cdec93ec54557fd07",
     ("g2p", 2, 3): "938ea9b03a767a75297a4aabc09c3e37ac2ff45102a4a770772a0d4f3634b70a",
     ("g2p", 3, 3): "afcfcf24ea32c50410ec86a4e4cd5d6c1cd9fc5e24ac10d06a6216e9e02bf7a7",
     ("g2p", 3, 4): "96e7a58d5ac5207751d2bee54e05b37e0b8a7644dc4e178e0b0057fa3543a599",
+    ("g2p", 3, 1): "1dfa0a8552a9d41fe87f38f1746fb9d140db8e95be878978c8fcc080df82885e",
+    ("g2p", 10, 1): "8a18995f060b71114af06e83ad0b89a330a4703da4dcd1346a8001e4492ece00",
+    ("g2p", 10, 10): "42a237ff2055866fdbade875b45fd1e332cdbae8fcc4d5d21b7ce4fa557e7514",
 }
 
 
@@ -319,6 +334,55 @@ def test_g2_certificates_pinned():
         cert = g2_np_certify(spec, (l,) if token == "g2x" else (2 * l, l), p)
         text = json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (token, p, l)
+
+
+def test_g2_sweep_evaluates_each_twist_once(monkeypatch):
+    for token, a, calls in (("g2x", (1,), 1170), ("g2p", (2, 1), 2430)):
+        weights = []
+
+        def counted(w, weights=weights):
+            weights.append(w)
+            return bbw_cohomology(w)
+
+        monkeypatch.setattr(syzygy, "bbw_cohomology", counted)
+        g2_np_certify(parse_variety(token), a, 10)
+        assert len(weights) == len(set(weights)) == calls, token
+
+
+def _g2_rows(spec, a, j, i, totals):
+    """Trace rows (j, i, tail total t) of the G2 sweep, restated row by row."""
+    rows = []
+    for t in totals:
+        d = j - i + t
+        if spec.family is Family.G2_X:
+            for a1 in range((t + 1) // 2, t + 1):
+                res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (a1, t - a1)))
+                ok = res.vanishes or res.degree != d + 1
+                rows.append((j, i, t, a1, t - a1, d + 1, "ok" if ok else "violation"))
+        else:
+            for s in range(t + 1):
+                res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (t - s, s)))
+                ok = res.vanishes or res.degree <= d
+                rows.append((j, i, s, t - s, d, "ok" if ok else "violation"))
+    return rows
+
+
+def test_g2_rows_past_the_sweep_are_vacuous():
+    # the restated rows match the certificate inside the sweep, and every row
+    # whose tail total is past i + dim + 5 holds, at gaps 1 and 3 alike
+    for token in ("g2x", "g2p"):
+        spec = parse_variety(token)
+        dim = flag_dimension(quotient_ranks(spec.shape))
+        for l in (1, 3):
+            a = (l,) if token == "g2x" else (2 * l, l)
+            for p in (1, 2, 3):
+                inside, past = [], []
+                for j in range(6):
+                    for i in range(1, p + 2):
+                        inside += _g2_rows(spec, a, j, i, range(i, i + dim + 6))
+                        past += _g2_rows(spec, a, j, i, range(i + dim + 6, i + dim + 9))
+                assert inside == list(g2_np_certify(spec, a, p).trace), (token, l, p)
+                assert all(row[-1] == "ok" for row in past), (token, l, p)
 
 
 # sha256 of the canonical certificate JSON, keyed by (variety, p, gap l): l is
