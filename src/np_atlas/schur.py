@@ -4,7 +4,9 @@ Two genuinely different algorithms live here on purpose.  LR coefficients,
 skew decompositions and tensor products all come from one walk over the
 lattice skew tableaux of a shape, which returns every content at once;
 schur_character sums over semistandard tableaux and serves as an independent
-cross-check of the whole tensor calculus.
+cross-check of the whole tensor calculus.  Each distinct walk runs once per
+process (the walk is cached behind the callers' input checks), and its forced
+top rows are filled in rather than walked.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .partitions import check_int, contains, normalize, pad, weight
+from .partitions import check_int, contains, normalize, pad
 
 
 class SchurSummand(NamedTuple):
@@ -23,9 +25,16 @@ class SchurSummand(NamedTuple):
 
 
 def partitions_of(n: int, *, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, with at most max_length parts when given."""
+    """All partitions of n, with at most max_length parts when given.
+
+    Bad input is refused at the call, not at the first next().
+    """
+    if check_int("n", n) < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if max_length is None:
         max_length = n
+    elif check_int("max_length", max_length) < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
 
     def rec(remaining, cap, slots):
         if remaining == 0:
@@ -37,9 +46,27 @@ def partitions_of(n: int, *, max_length: int | None = None) -> Iterator[tuple[in
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from rec(n, n, max_length)
+    return rec(n, n, max_length)
 
 
+def _sub_diagrams(outer: tuple[int, ...], max_length: int) -> Iterator[tuple[int, ...]]:
+    """Every partition inside the partition outer with at most max_length parts."""
+    rows = min(len(outer), max_length)
+
+    def rec(i, cap):
+        yield ()
+        if i < rows:
+            for first in range(min(cap, outer[i]), 0, -1):
+                for rest in rec(i + 1, first):
+                    yield (first,) + rest
+
+    return rec(0, outer[0] if outer else 0)
+
+
+# cached behind the callers' checks (normalize, or an exact-int max_length):
+# 2.0 and True hash like 2 and 1, so no float or bool may reach this cache.
+# The cached dict is shared by every caller and must not be mutated.
+@lru_cache(maxsize=None)
 def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
                  max_length: int | None = None) -> dict[tuple[int, ...], int]:
     """Count LR skew tableaux of shape lam/mu (mu inside lam), binned by content.
@@ -50,13 +77,28 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
     partition.  An entry in row i (0-based) is at most i + 1 and at most
     max_length.  The walk follows the skew-tableau iterator of Buch's lrcalc
     (https://sites.math.rutgers.edu/~asbuch/lrcalc/).
+
+    The top rows, those with mu[i] == mu[0], are forced: row 0 holds only
+    1s, and every cell of a later such row i sits below a cell of row i - 1,
+    so it holds exactly i + 1; the lattice condition holds since lam is
+    weakly decreasing.  Those rows are filled in, and the walk starts below
+    them.
     """
     rows = len(lam)
     mu = pad(mu, rows)
-    cells = [(i, j) for i in range(rows) for j in range(lam[i] - 1, mu[i] - 1, -1)]
     top = rows if max_length is None else min(rows, max_length)
     grid = [[0] * r for r in lam]
     counts = [0] * top
+    forced = 0
+    while forced < rows and mu[forced] == mu[0]:
+        width = lam[forced] - mu[0]
+        if width:
+            if forced >= top:
+                return {}  # this row needs the value forced + 1 > max_length
+            grid[forced][mu[0]:] = [forced + 1] * width
+            counts[forced] = width
+        forced += 1
+    cells = [(i, j) for i in range(forced, rows) for j in range(lam[i] - 1, mu[i] - 1, -1)]
     out: dict[tuple[int, ...], int] = {}
 
     def rec(pos: int) -> None:
@@ -90,7 +132,7 @@ def skew_decompose(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int,
     lam, mu = normalize(lam), normalize(mu)
     if not contains(lam, mu):
         return {}
-    return _lr_fillings(lam, mu)
+    return dict(_lr_fillings(lam, mu))
 
 
 def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
@@ -174,23 +216,21 @@ def _mult_in_product(target: tuple[int, ...],
     where rho_b has length <= ranks[b].  target is a normalized partition
     and ranks a tuple of ints.  Peels the first block: S^target restricted
     to GL(ranks[0]) x GL(rest) is the sum of c^target_{rho,nu} S^rho (x)
-    S^nu, so each rho inside target costs one skew walk.  The cached dict is
-    shared by every caller and must not be mutated.
+    S^nu over the rho inside target, with one cached walk per distinct
+    (target, rho).  The cached dict is shared by every caller and must not
+    be mutated.
     """
     if len(ranks) <= 1:  # zero blocks hold only (), one block holds target if it fits
         return {(target,) * len(ranks): 1} if len(target) <= sum(ranks) else {}
     rest = ranks[1:]
     room = sum(rest)
     out: dict[tuple[tuple[int, ...], ...], int] = {}
-    for w in range(weight(target) + 1):
-        for rho in partitions_of(w, max_length=ranks[0]):
-            if not contains(target, rho):
-                continue
-            for nu, c in skew_decompose(target, rho).items():
-                if len(nu) <= room:
-                    for tail, m in _mult_in_product(nu, rest).items():
-                        key = (rho,) + tail
-                        out[key] = out.get(key, 0) + c * m
+    for rho in _sub_diagrams(target, ranks[0]):
+        for nu, c in _lr_fillings(target, rho).items():
+            if len(nu) <= room:
+                for tail, m in _mult_in_product(nu, rest).items():
+                    key = (rho,) + tail
+                    out[key] = out.get(key, 0) + c * m
     return out
 
 

@@ -9,6 +9,9 @@ from np_atlas.geometry import parse_variety
 from np_atlas.partitions import contains, normalize, pad, weyl_dimension
 from np_atlas.schur import (
     SchurSummand,
+    _lr_fillings,
+    _mult_in_product,
+    _sub_diagrams,
     character_product,
     filtration_quotients,
     lr_coefficient,
@@ -131,6 +134,104 @@ def test_malformed_schur_input_rejected():
         tensor_decompose((1,), (1,), -1)
     with pytest.raises(ValueError, match="block ranks must be non-negative ints"):
         filtration_quotients((1,), (-1, 2))
+    # refused at the call, before any next()
+    for n, max_length, message in ((True, None, "n must be an int"),
+                                   (2.5, None, "n must be an int"),
+                                   (-1, None, "n must be non-negative"),
+                                   (3, 1.5, "max_length must be an int"),
+                                   (3, True, "max_length must be an int"),
+                                   (3, -1, "max_length must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            partitions_of(n, max_length=max_length)
+
+
+def _lr_fillings_plain(lam, mu, max_length=None):
+    """Reference: the LR walk over every cell of lam/mu, forced rows included."""
+    rows = len(lam)
+    mu = pad(mu, rows)
+    cells = [(i, j) for i in range(rows) for j in range(lam[i] - 1, mu[i] - 1, -1)]
+    top = rows if max_length is None else min(rows, max_length)
+    grid = [[0] * r for r in lam]
+    counts = [0] * top
+    out = {}
+
+    def rec(pos):
+        if pos == len(cells):
+            content = tuple(c for c in counts if c)
+            out[content] = out.get(content, 0) + 1
+            return
+        i, j = cells[pos]
+        hi = min(i + 1, top, grid[i][j + 1]) if j + 1 < lam[i] else min(i + 1, top)
+        lo = grid[i - 1][j] + 1 if i > 0 and j >= mu[i - 1] else 1
+        for v in range(lo, hi + 1):
+            if v > 1 and counts[v - 1] >= counts[v - 2]:
+                continue
+            grid[i][j] = v
+            counts[v - 1] += 1
+            rec(pos + 1)
+            counts[v - 1] -= 1
+
+    rec(0)
+    return out
+
+
+def test_lr_walk_matches_plain_walk():
+    # max_length 0..4 puts forced rows past the cap, with and without cells
+    cases = 0
+    for lam in all_shapes(10):
+        for mu in _sub_diagrams(lam, len(lam)):
+            for max_length in (None, 0, 1, 2, 3, 4):
+                assert _lr_fillings.__wrapped__(lam, mu, max_length) == \
+                    _lr_fillings_plain(lam, mu, max_length), (lam, mu, max_length)
+                cases += 1
+    assert cases == 17328
+
+
+def test_sub_diagrams_are_the_contained_partitions():
+    for outer in all_shapes(8):
+        for cap in range(5):
+            subs = list(_sub_diagrams(outer, cap))
+            assert len(subs) == len(set(subs)), (outer, cap)
+            expected = {rho for w in range(sum(outer) + 1)
+                        for rho in partitions_of(w, max_length=cap) if contains(outer, rho)}
+            assert set(subs) == expected, (outer, cap)
+
+
+def test_filtration_walks_each_skew_shape_once():
+    # the uncached walk ran 1,265 times here: once per (target, rho) peeled,
+    # however often the same shape came back
+    _lr_fillings.cache_clear()
+    _mult_in_product.cache_clear()
+    for ranks in ((2, 2, 2), (3, 3), (2, 3, 1), (3, 2, 2)):
+        for alpha in partitions_of(7):
+            if len(alpha) <= sum(ranks):
+                filtration_quotients(alpha, ranks)
+    assert _lr_fillings.cache_info().misses == 381
+
+
+def test_shared_walk_result_is_not_exposed():
+    # filtration_quotients((3, 2, 1), (1, 2)) reads the cached walk of
+    # (3, 2, 1)/(1,); tensor_decompose((2, 1), (1,), 4) walks (3, 2, 1)/(1, 1)
+    skew = {(3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}
+    returned = skew_decompose((3, 2, 1), (1,))
+    assert returned == skew
+    returned.clear()
+    assert skew_decompose((3, 2, 1), (1,)) == skew
+    assert tensor_decompose((2, 1), (1,), 4) == [
+        SchurSummand((2, 1, 1), 1),
+        SchurSummand((2, 2), 1),
+        SchurSummand((3, 1), 1),
+    ]
+    _mult_in_product.cache_clear()  # so the quotients re-read the cached walks
+    assert filtration_quotients((3, 2, 1), (1, 2)) == [
+        SchurSummand(((1,), (3, 2)), 1),
+        SchurSummand(((2,), (2, 2)), 1),
+        SchurSummand(((2,), (3, 1)), 1),
+        SchurSummand(((3,), (2, 1)), 1),
+    ]
+    assert skew_decompose((3, 1), (1,)) == {(3,): 1, (2, 1): 1}
+    with pytest.raises(ValueError, match="partition entries must be ints"):
+        skew_decompose((3.0, 1), (1,))
 
 
 def test_filtration_quotients_examples():
