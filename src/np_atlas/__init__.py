@@ -15,8 +15,6 @@ from .geometry import (
     VarietySpec,
     canonical_weight,
     decompose_ample,
-    grassmannian_pushforward,
-    koszul_terms,
     parse_shape,
     parse_variety,
     positivity,
@@ -43,7 +41,6 @@ from .syzygy import (
     NpCertificate,
     ThresholdResult,
     g2_np_certify,
-    kernel_filtration,
     np_certify,
     np_threshold,
     schur_complex_term,

@@ -82,11 +82,9 @@ def _inversion_count(seq: tuple[int, ...]) -> int:
 def flag_dimension(ranks: tuple[int, ...]) -> int:
     """Dimension of the flag variety with the given quotient ranks."""
     ranks = tuple(check_int("rank", r) for r in ranks)
-    total = 0
-    for i in range(len(ranks)):
-        for j in range(i + 1, len(ranks)):
-            total += ranks[i] * ranks[j]
-    return total
+    if any(r < 0 for r in ranks):
+        raise ValueError(f"ranks must be non-negative: {ranks}")
+    return sum(r * sum(ranks[i + 1:]) for i, r in enumerate(ranks))
 
 
 def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:

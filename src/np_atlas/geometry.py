@@ -14,9 +14,9 @@ from enum import Enum
 from math import comb
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
-from .partitions import check_int, normalize, pad
+from .partitions import check_int, pad
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
-from .schur import SchurSummand, tensor_decompose
+from .schur import tensor_decompose
 
 
 class Family(Enum):
@@ -159,46 +159,6 @@ def canonical_weight(shape: FlagShape) -> BlockedWeight:
     return BlockedWeight(tuple(blocks))
 
 
-def _defining_square(spec: VarietySpec) -> tuple:
-    """The wedge-power generator and the rank of spec's defining square."""
-    if spec.family not in _DEFINING_SQUARE:
-        raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")
-    wedges, shift = _DEFINING_SQUARE[spec.family]
-    return wedges, comb(spec.shape.dims[0] + shift, 2)
-
-
-def w_rank(spec: VarietySpec) -> int:
-    """Rank of the wedge- or sym-square defining bundle of the embedding."""
-    return _defining_square(spec)[1]
-
-
-def koszul_terms(spec: VarietySpec, j: int) -> list[SchurSummand]:
-    """Schur constituents (on the tautological sub-bundle) of the j-th Koszul term.
-
-    The defining bundle must be a wedge or sym square; the G2 Koszul twist is
-    built by g2_koszul_twist_weight alone.
-    """
-    wedges, rank = _defining_square(spec)
-    if not 0 <= check_int("j", j) <= rank:
-        raise ValueError(f"j={j} outside 0..{rank}")
-    return [SchurSummand(s, 1) for s in wedges(j, spec.shape.dims[0])]
-
-
-def grassmannian_pushforward(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
-    """Partition of length n_1 presenting the pushforward of the tail twist.
-
-    Requires the tail coefficients (a_2..a_k) to form a relatively nef chain.
-    """
-    tail = check_line_bundle(shape, a)[1:]
-    if any(x < y for x, y in zip(tail, tail[1:])) or (tail and tail[-1] < 0):
-        raise ValueError(f"tail coefficients {tail} are not relatively nef")
-    ranks = quotient_ranks(shape)
-    out: list[int] = []
-    for coeff, r in zip(tail, ranks[1:]):
-        out.extend([coeff] * r)
-    return pad(tuple(out), shape.dims[0])
-
-
 def _g2_column(j: int) -> tuple[int, ...]:
     """The length-j column of the j-th G2 Koszul term, padded to the rank-5 block."""
     return pad((1,) * j, 5)
@@ -253,27 +213,31 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     if positivity(a) != AMPLE:
         raise ValueError(f"line bundle {a} is not ample")
 
-    tasks: list[tuple[int, tuple[int, ...], tuple[int, ...], int, BlockedWeight]] = []
     if spec.family in G2_TWISTED:
-        for j in range(1, 6):
-            column = _g2_column(j)
-            tasks.append((j, column, column, 1, g2_koszul_twist_weight(spec, a, j)))
+        rows = ((j, _g2_column(j), _g2_column(j), 1, g2_koszul_twist_weight(spec, a, j))
+                for j in range(1, 6))
     else:
+        if spec.family not in _DEFINING_SQUARE:
+            raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")
+        wedges, shift = _DEFINING_SQUARE[spec.family]
         n1 = spec.shape.dims[0]
-        r1 = quotient_ranks(spec.shape)[0]
-        tilde = grassmannian_pushforward(spec.shape, a)
-        for i in range(1, w_rank(spec) + 1):
-            for beta, _ in koszul_terms(spec, i):
-                for beta_prime, mult in tensor_decompose(beta, normalize(tilde), n1):
-                    w = BlockedWeight(((a[0],) * r1, pad(beta_prime, n1)))
-                    tasks.append((i, beta, beta_prime, mult, w))
+        ranks = quotient_ranks(spec.shape)
+        # the pushforward of the tail twist to the Grassmannian of n1-planes: a is
+        # ample, so its tail coefficients repeated by their ranks form a partition
+        tilde = tuple(c for c, r in zip(a[1:], ranks[1:]) for _ in range(r))
+        first = (a[0],) * ranks[0]
+        # the constituents of the i-th Koszul term are wedges(i, n1)
+        rows = ((i, beta, beta_prime, mult, BlockedWeight((first, pad(beta_prime, n1))))
+                for i in range(1, comb(n1 + shift, 2) + 1)
+                for beta in wedges(i, n1)
+                for beta_prime, mult in tensor_decompose(beta, tilde, n1))
 
+    # rows come in (degree_required, beta, beta_prime) order
     entries = []
-    for deg, beta, beta_prime, mult, w in tasks:
+    for deg, beta, beta_prime, mult, w in rows:
         res = bbw_cohomology(w)
         ok = res.vanishes or res.degree != deg
         entries.append(SurjectivityEntry(deg, beta, beta_prime, mult, res, ok))
-    entries.sort(key=lambda e: (e.degree_required, e.beta, e.beta_prime))
     return SurjectivityReport(all(e.ok for e in entries), tuple(entries))
 
 

@@ -38,10 +38,6 @@ def normalize(parts: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
-def weight(p: tuple[int, ...]) -> int:
-    return sum(p)
-
-
 def pad(p: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Pad with zeros to explicit ambient length n."""
     if len(p) > n:

@@ -227,6 +227,7 @@ def _mult_in_product(target: tuple[int, ...],
     out: dict[tuple[tuple[int, ...], ...], int] = {}
     for rho in _sub_diagrams(target, ranks[0]):
         for nu, c in _lr_fillings(target, rho).items():
+            # filtered, not capped: a room cap splits the shared walk keys (997 walks, not 381)
             if len(nu) <= room:
                 for tail, m in _mult_in_product(nu, rest).items():
                     key = (rho,) + tail

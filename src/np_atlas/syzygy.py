@@ -33,7 +33,7 @@ from .geometry import (
     positivity,
     quotient_ranks,
 )
-from .partitions import check_int, conjugate, normalize, weight
+from .partitions import check_int, conjugate, normalize
 from .schur import SchurSummand, partitions_of, skew_decompose
 
 CERTIFIED = "certified"
@@ -43,33 +43,6 @@ SCHEMA_VERSION = 1
 
 TYPE_C = "C"
 TYPE_BD = "BD"
-
-
-@dataclass(frozen=True)
-class KernelFiltrationLevel:
-    """One graded piece of the evaluation-kernel filtration."""
-
-    level: int
-    truncated_weight: tuple[int, ...]  # flat partition on blocks 1..level+1
-    twist: tuple[int, ...]  # line-bundle coefficients
-
-
-def kernel_filtration(shape: FlagShape, a: tuple[int, ...]) -> list[KernelFiltrationLevel]:
-    """Filtration data of the kernel of the evaluation map of a nef bundle."""
-    a = check_line_bundle(shape, a)
-    if positivity(a) not in (AMPLE, NEF_NOT_AMPLE):
-        raise ValueError(f"line bundle {a} is not nef")
-    ranks = quotient_ranks(shape)
-    coeffs = a + (0,)
-    levels = []
-    for i in range(1, shape.k + 1):
-        parts: list[int] = []
-        for t in range(i):
-            parts.extend([coeffs[t] - coeffs[i]] * ranks[t])
-        parts.extend([0] * ranks[i])
-        twist = tuple(coeffs[i - 1] if t < i else coeffs[t] for t in range(shape.k))
-        levels.append(KernelFiltrationLevel(i, tuple(parts), twist))
-    return levels
 
 
 @dataclass(frozen=True)
@@ -84,22 +57,31 @@ class SchurComplexTerm:
 
 def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
                        j: int) -> SchurComplexTerm:
-    """Terms of the Schur complex resolving the level-th filtration quotient."""
+    """Terms of the Schur complex resolving the level-th filtration quotient.
+
+    With c = a + (0,), that quotient of the kernel of the evaluation map of
+    the nef bundle a is S^alpha of the quotients 0..level, twisted by a with
+    a[:level] replaced by a[level - 1]; alpha repeats c[t] - c[level] over
+    the rank of each quotient t < level.
+    """
     if not 1 <= check_int("level", level) <= shape.k:
         raise ValueError(f"level {level} outside 1..{shape.k}")
     if check_int("homological degree j", j) < 1:
         raise ValueError("homological degree must be >= 1")
+    a = check_line_bundle(shape, a)
+    if positivity(a) not in (AMPLE, NEF_NOT_AMPLE):
+        raise ValueError(f"line bundle {a} is not nef")
     ranks = quotient_ranks(shape)
-    filt = kernel_filtration(shape, a)[level - 1]
-    alpha = normalize(filt.truncated_weight)
-    total = weight(alpha)
+    coeffs = a + (0,)
+    alpha = normalize([coeffs[t] - coeffs[level] for t in range(level) for _ in range(ranks[t])])
+    twist = (a[level - 1],) * level + a[level:]
     summands = []
-    if j <= total:
+    if j <= sum(alpha):
         for rho in partitions_of(j, max_length=ranks[level]):
             for nu, mult in skew_decompose(alpha, conjugate(rho)).items():
                 summands.append(SchurSummand((rho, nu), mult))
     summands.sort(key=lambda s: s.shape)
-    return SchurComplexTerm(level, j, filt.twist, tuple(summands))
+    return SchurComplexTerm(level, j, twist, tuple(summands))
 
 
 def _min_square_configs(ranks: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:

@@ -56,6 +56,10 @@ def test_flag_dimension():
     assert flag_dimension((2, 5)) == 10
     assert flag_dimension((5, 1, 1)) == 11
     assert flag_dimension((6, 1, 2, 3)) == 6 + 12 + 18 + 2 + 3 + 6
+    assert flag_dimension((0, 3)) == 0
+    for ranks in ((-1, 2), (2, -2, 1)):
+        with pytest.raises(ValueError, match="ranks must be non-negative"):
+            flag_dimension(ranks)
 
 
 def test_bbw_line_bundles_on_p1():

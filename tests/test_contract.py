@@ -43,10 +43,7 @@ CALLS = {
     "filtration_quotients": ((2, 1), (1, 2)),
     "flag_dimension": ((2, 1, 3),),
     "g2_np_certify": (G2P, (2, 1), 1),
-    "grassmannian_pushforward": (SHAPE, (3, 1)),
     "inversion_bound": (((1,), (1,)), (1, 1, 1), (3, 1), 1),
-    "kernel_filtration": (SHAPE, (3, 1)),
-    "koszul_terms": (SPEC, 1),
     "lr_coefficient": ((2, 1), (1,), (1,)),
     "np_certify": (SPEC, (3, 1), 1),
     "np_threshold": ("C", (2, 1), 1),

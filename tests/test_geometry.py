@@ -14,18 +14,16 @@ from np_atlas.geometry import (
     check_line_bundle,
     decompose_ample,
     g2_koszul_twist_weight,
-    grassmannian_pushforward,
-    koszul_terms,
     parse_shape,
     parse_variety,
     positivity,
     quotient_ranks,
     restriction_surjectivity_check,
-    w_rank,
 )
 from np_atlas.partitions import pad, weyl_dimension
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
-from np_atlas.schur import SchurSummand, schur_character
+from np_atlas.schur import schur_character
+from np_atlas.verify import RESTRICTION_CATALOG
 
 
 def test_flag_shape_validation():
@@ -129,7 +127,7 @@ def test_variety_spec_orthogonal_family_follows_shape():
             parsed = parse_variety(f"ofl({n1};{n})").family
             for fam in orthogonal:
                 if fam is parsed:
-                    assert koszul_terms(VarietySpec(fam, shape), 1) == [SchurSummand((2,), 1)]
+                    VarietySpec(fam, shape)
                 else:
                     with pytest.raises(ValueError):
                         VarietySpec(fam, shape)
@@ -159,19 +157,6 @@ def test_parse_shape():
         parse_shape("sfl(2;6)")
 
 
-def test_w_rank_and_koszul_terms():
-    c = parse_variety("sfl(3;8)")
-    b = parse_variety("ofl(3;7)")
-    assert w_rank(c) == 3
-    assert w_rank(b) == 6
-    assert [s.shape for s in koszul_terms(c, 1)] == [(1, 1)]
-    assert [s.shape for s in koszul_terms(b, 1)] == [(2,)]
-    assert [s.shape for s in koszul_terms(c, 2)] == [(2, 1, 1)]
-    assert koszul_terms(c, 0) == [SchurSummand((), 1)]
-    with pytest.raises(ValueError):
-        koszul_terms(c, 4)
-
-
 # one catalog entry per family, with the square of its defining bundle: wedge^2
 # for C, S^2 for the orthogonal families and G2_Q, and none for A (no defining
 # bundle) or for G2_X and G2_P (the G2 Koszul twist)
@@ -187,18 +172,32 @@ def test_defining_square_follows_family():
     assert {spec.family for spec in specs.values()} == set(Family)
     for token, square in SQUARES.items():
         spec = specs[token]
-        if square is None:
-            refusal = f"{spec.family.value} has no wedge- or sym-square defining bundle"
-            for call in (lambda: w_rank(spec), lambda: koszul_terms(spec, 1)):
-                with pytest.raises(ValueError, match=refusal):
-                    call()
+        a = tuple(range(spec.shape.k, 0, -1))
+        if spec.family is Family.A:
+            with pytest.raises(ValueError, match="A has no wedge- or sym-square defining bundle"):
+                restriction_surjectivity_check(spec, a)
+            continue
+        entries = restriction_surjectivity_check(spec, a).entries
+        pairs = {(e.degree_required, e.beta) for e in entries}
+        if square is None:  # the G2 Koszul twist: one column per degree
+            assert pairs == {(j, (1,) * j + (0,) * (5 - j)) for j in range(1, 6)}
             continue
         n1 = spec.shape.dims[0]
         # the rank is the dimension of the square's one first wedge power
         (first,) = square(1, n1)
-        assert w_rank(spec) == weyl_dimension(pad(first, n1), n1)
-        for j in range(w_rank(spec) + 1):
-            assert [s.shape for s in koszul_terms(spec, j)] == square(j, n1)
+        rank = weyl_dimension(pad(first, n1), n1)
+        assert rank == comb(n1 + (square is wedge_of_sym2), 2)
+        assert pairs == {(i, s) for i in range(1, rank + 1) for s in square(i, n1)}
+
+
+def test_restriction_entries_come_in_order():
+    for token in RESTRICTION_CATALOG:
+        spec = parse_variety(token)
+        for gap in (1, 2, 3):
+            a = tuple(gap * (spec.shape.k - i) for i in range(spec.shape.k))
+            keys = [(e.degree_required, e.beta, e.beta_prime)
+                    for e in restriction_surjectivity_check(spec, a).entries]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_degrees_and_ranks_must_be_ints():
@@ -208,8 +207,6 @@ def test_degrees_and_ranks_must_be_ints():
         lambda: wedge_of_wedge2(2, 3.5),
         lambda: wedge_of_sym2(True, 3),
         lambda: wedge_of_sym2(1, 2.0),
-        lambda: koszul_terms(spec, 1.0),
-        lambda: koszul_terms(spec, True),
         lambda: weyl_dimension((1, 0), 2.0),
         lambda: weyl_dimension((1,), True),
         lambda: inversion_bound(((),), (1.0, 1), (1,), 1),
@@ -231,29 +228,6 @@ def test_degrees_and_ranks_must_be_ints():
         for gen in (wedge_of_wedge2, wedge_of_sym2):
             with pytest.raises(ValueError, match="must be non-negative"):
                 gen(j, n)
-
-
-def test_koszul_dimension_identity():
-    for token in ("sfl(3;8)", "ofl(3;7)", "sfl(2,1;6)"):
-        spec = parse_variety(token)
-        n1 = spec.shape.dims[0]
-        for j in range(w_rank(spec) + 1):
-            total = sum(
-                s.multiplicity * weyl_dimension(pad(s.shape, n1), n1)
-                for s in koszul_terms(spec, j)
-            )
-            assert total == comb(w_rank(spec), j)
-
-
-def test_grassmannian_pushforward_examples():
-    shape = FlagShape(5, (2, 1))
-    assert grassmannian_pushforward(shape, (7, 3)) == (3, 0)
-    assert grassmannian_pushforward(shape, (4, 0)) == (0, 0)
-    assert grassmannian_pushforward(FlagShape(12, (6, 5, 3)), (9, 2, 1)) == (
-        2, 1, 1, 0, 0, 0,
-    )
-    with pytest.raises(ValueError):
-        grassmannian_pushforward(FlagShape(12, (6, 5, 3)), (9, 1, 2))
 
 
 def test_g2_koszul_twist_weight():

@@ -20,37 +20,47 @@ from np_atlas.syzygy import (
     SCHEMA_VERSION,
     _clause_for,
     g2_np_certify,
-    kernel_filtration,
     np_certify,
     np_threshold,
     schur_complex_term,
 )
 
 
+def _piece(shape, a, level):
+    """The twist of the level-th kernel piece and the set of |rho| + |nu| over its
+    Schur complex terms of degrees 1-4: each summand weighs |alpha|."""
+    terms = [schur_complex_term(shape, a, level, j) for j in range(1, 5)]
+    assert len({t.twist for t in terms}) == 1
+    return terms[0].twist, {sum(rho) + sum(nu) for t in terms for (rho, nu), _ in t.summands}
+
+
 def test_kernel_filtration_trivial_bundle():
-    levels = kernel_filtration(FlagShape(5, (2, 1)), (0, 0))
-    assert all(set(lv.truncated_weight) == {0} for lv in levels)
-    assert all(set(lv.twist) == {0} for lv in levels)
+    for level in (1, 2):
+        assert _piece(FlagShape(5, (2, 1)), (0, 0), level) == ((0, 0), set())
 
 
 def test_kernel_filtration_grassmannian():
-    levels = kernel_filtration(FlagShape(6, (2,)), (3,))
-    assert len(levels) == 1
-    assert levels[0].truncated_weight == (3, 3, 3, 3, 0, 0)
-    assert levels[0].twist == (3,)
+    shape = FlagShape(6, (2,))
+    assert _piece(shape, (3,), 1) == ((3,), {12})
+    # alpha = (3, 3, 3, 3): the degree-1 term removes one box from it
+    term = schur_complex_term(shape, (3,), 1, 1)
+    assert [(s.shape, s.multiplicity) for s in term.summands] == [(((1,), (3, 3, 3, 2)), 1)]
 
 
 def test_kernel_filtration_two_step():
-    levels = kernel_filtration(FlagShape(5, (2, 1)), (3, 1))
-    assert levels[0].truncated_weight == (2, 2, 2, 0)
-    assert levels[0].twist == (3, 1)
-    assert levels[1].truncated_weight == (3, 3, 3, 1, 0)
-    assert levels[1].twist == (1, 1)
+    shape = FlagShape(5, (2, 1))
+    assert _piece(shape, (3, 1), 1) == ((3, 1), {6})
+    assert _piece(shape, (3, 1), 2) == ((1, 1), {10})
+    # alpha = (2, 2, 2) at level 1 and (3, 3, 3, 1) at level 2
+    assert [s.shape for s in schur_complex_term(shape, (3, 1), 1, 1).summands] == [
+        ((1,), (2, 2, 1))]
+    assert [s.shape for s in schur_complex_term(shape, (3, 1), 2, 1).summands] == [
+        ((1,), (3, 3, 2, 1)), ((1,), (3, 3, 3))]
 
 
 def test_kernel_filtration_requires_nef():
-    with pytest.raises(ValueError):
-        kernel_filtration(FlagShape(5, (2, 1)), (1, 3))
+    with pytest.raises(ValueError, match="is not nef"):
+        schur_complex_term(FlagShape(5, (2, 1)), (1, 3), 1, 1)
 
 
 def test_schur_complex_term_euler_sequence():
@@ -65,9 +75,7 @@ def test_schur_complex_term_two_step_flag():
     assert term.summands
     for (rho, nu), mult in term.summands:
         assert mult >= 1
-        assert sum(rho) + sum(nu) == sum(
-            kernel_filtration(FlagShape(4, (2, 1)), (2, 1))[0].truncated_weight
-        )
+        assert sum(rho) + sum(nu) == 2  # alpha = (1, 1)
     with pytest.raises(ValueError):
         schur_complex_term(FlagShape(4, (2, 1)), (2, 1), 3, 1)
     with pytest.raises(ValueError):
@@ -80,8 +88,6 @@ def test_kernel_filtration_and_schur_complex_term_validate_inputs():
                      ((3,), "expected 2 line-bundle coefficients"),
                      ((3.0, 1), "line-bundle coefficient must be an int")):
         with pytest.raises(ValueError, match=match):
-            kernel_filtration(shape, a)
-        with pytest.raises(ValueError, match=match):
             schur_complex_term(shape, a, 1, 1)
     for level, j in ((True, 1), (1.0, 1), (1, True), (1, 1.5)):
         with pytest.raises(ValueError, match="must be an int"):
@@ -89,16 +95,15 @@ def test_kernel_filtration_and_schur_complex_term_validate_inputs():
 
 
 def test_schur_complex_weight_balance():
-    for shape, a in [(FlagShape(5, (2, 1)), (3, 1)), (FlagShape(6, (3,)), (2,))]:
-        for level in range(1, shape.k + 1):
-            for j in range(1, 5):
-                term = schur_complex_term(shape, a, level, j)
-                for (rho, nu), _ in term.summands:
-                    assert sum(rho) == j
-                    total = sum(
-                        kernel_filtration(shape, a)[level - 1].truncated_weight
-                    )
-                    assert sum(nu) == total - j
+    # |alpha| of each kernel piece: 6 and 10 on Fl(2,1;5), 6 on Gr(3,6)
+    for shape, a, level, total in [(FlagShape(5, (2, 1)), (3, 1), 1, 6),
+                                   (FlagShape(5, (2, 1)), (3, 1), 2, 10),
+                                   (FlagShape(6, (3,)), (2,), 1, 6)]:
+        for j in range(1, 5):
+            term = schur_complex_term(shape, a, level, j)
+            for (rho, nu), _ in term.summands:
+                assert sum(rho) == j
+                assert sum(nu) == total - j
 
 
 def test_np_threshold_remark_values():
