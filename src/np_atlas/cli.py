@@ -21,21 +21,21 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_USAGE = 2
 
 _BLOCK_RE = re.compile(r"\[[^\[\]]*\]")
+# bracketed blocks separated by single commas, with whitespace around them
+_BLOCK_LIST_RE = re.compile(rf"\s*{_BLOCK_RE.pattern}\s*(?:,\s*{_BLOCK_RE.pattern}\s*)*")
 
 
 def _parse_block_list(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse a comma-separated list of bracketed integer blocks."""
-    groups = _BLOCK_RE.findall(text)
-    leftover = _BLOCK_RE.sub("", text).replace(",", "").strip()
-    if not groups or leftover:
+    if not _BLOCK_LIST_RE.fullmatch(text):
         raise ValueError(f"cannot parse weight blocks from {text!r}")
     blocks = []
-    for g in groups:
+    for g in _BLOCK_RE.findall(text):
         body = g[1:-1].strip()
         if not body:
             raise ValueError(f"empty weight block {g!r}")
         try:
-            blocks.append(tuple(int(tok) for tok in body.split(",")))
+            blocks.append(tuple(map(int, body.split(","))))
         except ValueError:
             raise ValueError(f"bad integer in weight block {g!r}") from None
     return tuple(blocks)

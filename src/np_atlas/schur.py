@@ -6,7 +6,9 @@ lattice skew tableaux of a shape, which returns every content at once;
 schur_character sums over semistandard tableaux and serves as an independent
 cross-check of the whole tensor calculus.  Each distinct walk runs once per
 process (the walk is cached behind the callers' input checks), and its forced
-top rows are filled in rather than walked.
+top rows are filled in rather than walked.  The walk compiles its shape into
+flat cell tables and fills them with an iterative odometer, one loop step per
+value tried and no call per cell.
 """
 
 from __future__ import annotations
@@ -83,42 +85,83 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
     so it holds exactly i + 1; the lattice condition holds since lam is
     weakly decreasing.  Those rows are filled in, and the walk starts below
     them.
+
+    The other cells are listed once in reading order, each with the slot
+    that caps its value (its right neighbour, or its row's cap) and the slot
+    that floors it (the cell above it, or 0), and an explicit-stack odometer
+    fills one flat value list, with no Python call per cell.  The lattice
+    condition keeps the value counts a partition, so each leaf's content is
+    the prefix of the counts up to a sentinel 0.
     """
     rows = len(lam)
     mu = pad(mu, rows)
     top = rows if max_length is None else min(rows, max_length)
-    grid = [[0] * r for r in lam]
-    counts = [0] * top
+    # counts[v] is how often v has been written, for v = 1..top; counts[0]
+    # exceeds every count, so 1 always passes the lattice test, and the
+    # sentinel counts[top + 1] == 0 ends the content
+    counts = [sum(lam) + 1] + [0] * (top + 1)
     forced = 0
     while forced < rows and mu[forced] == mu[0]:
         width = lam[forced] - mu[0]
         if width:
             if forced >= top:
                 return {}  # this row needs the value forced + 1 > max_length
-            grid[forced][mu[0]:] = [forced + 1] * width
-            counts[forced] = width
+            counts[forced + 1] = width
         forced += 1
-    cells = [(i, j) for i in range(forced, rows) for j in range(lam[i] - 1, mu[i] - 1, -1)]
+    # Compile the shape into slots of vals: the n walked cells take slots
+    # 0..n-1 in reading order, slot n holds 0, slot n + 1 the value of the
+    # last forced row, and slot n + 2 + i the cap min(i + 1, top) of row i.
+    # Cell k then takes the values vals[above[k]] + 1 .. vals[right[k]]:
+    # above[k] is the slot of the cell above it, or n when there is none, and
+    # right[k] the slot of its right neighbour, or its row's cap at the end
+    # of a row.
+    n = sum(lam[forced:]) - sum(mu[forced:])
+    if not n:
+        return {tuple(counts[1:counts.index(0)]): 1}
+    vals = [0] * n + [0, forced, *range(1, top + 1)] + [top] * (rows - top)
+    right: list[int] = []
+    above: list[int] = []
+    start = prev = 0  # the first slots of rows i and i - 1
+    for i in range(forced, rows):  # forced >= 1, so row i - 1 exists
+        width = lam[i] - mu[i]
+        if not width:
+            continue  # and row i + 1 has no cell under row i
+        right += [n + 2 + i, *range(start, start + width - 1)]
+        under = max(0, lam[i] - mu[i - 1])  # the first under cells have a cell above
+        if i == forced:
+            above += [n + 1] * under
+        else:  # the cell above the first one of row i is lam[i - 1] - lam[i] into row i - 1
+            first = prev + lam[i - 1] - lam[i]
+            above += range(first, first + under)
+        above += [n] * (width - under)
+        prev, start = start, start + width
     out: dict[tuple[int, ...], int] = {}
-
-    def rec(pos: int) -> None:
-        if pos == len(cells):
-            content = tuple(c for c in counts if c)
-            out[content] = out.get(content, 0) + 1
-            return
-        i, j = cells[pos]
-        hi = min(i + 1, top, grid[i][j + 1]) if j + 1 < lam[i] else min(i + 1, top)
-        lo = grid[i - 1][j] + 1 if i > 0 and j >= mu[i - 1] else 1
-        for v in range(lo, hi + 1):
-            if v > 1 and counts[v - 1] >= counts[v - 2]:
-                continue  # lattice condition: prefix counts stay weakly decreasing
-            grid[i][j] = v
-            counts[v - 1] += 1
-            rec(pos + 1)
-            counts[v - 1] -= 1
-
-    rec(0)
-    return out
+    last = n - 1
+    pos = 0
+    vals[0] = vals[above[0]]
+    while True:
+        hi = vals[right[pos]]
+        if pos == last:  # each value left for the last cell completes a tableau
+            for v in range(vals[pos] + 1, hi + 1):
+                if counts[v] < counts[v - 1]:  # lattice condition
+                    counts[v] += 1
+                    content = tuple(counts[1:counts.index(0)])
+                    out[content] = out.get(content, 0) + 1
+                    counts[v] -= 1
+        else:
+            v = vals[pos] + 1
+            while v <= hi and counts[v] >= counts[v - 1]:
+                v += 1  # lattice condition: the counts stay weakly decreasing
+            if v <= hi:
+                vals[pos] = v
+                counts[v] += 1
+                pos += 1
+                vals[pos] = vals[above[pos]]  # one below the first value to try
+                continue
+        if not pos:  # no value left here: step back and advance the cell before
+            return out
+        pos -= 1
+        counts[vals[pos]] -= 1
 
 
 def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
@@ -149,7 +192,8 @@ def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
     shift = nu[0] if nu else 0
     lam = tuple(m + shift for m in mu) + nu
     fillings = _lr_fillings(lam, (shift,) * len(mu), max_length=max_length)
-    return sorted(SchurSummand(shape, c) for shape, c in fillings.items())
+    # a summand is its (shape, c) pair, so sorting the pairs sorts the summands
+    return [SchurSummand._make(item) for item in sorted(fillings.items())]
 
 
 def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:

@@ -83,6 +83,16 @@ def test_cohomology_parse_error(capsys):
     code, _, err = run(capsys, "cohomology", "--shape", "fl(1;2)", "--weight", "3,0")
     assert code == EXIT_USAGE
     assert "np-atlas:" in err
+    # blocks are separated by single commas; a missing, doubled, leading,
+    # trailing or blank-filled comma is refused, not read as "[1],[0]"
+    for weight in ("[1][0]", "[1],,[0]", ",[1],[0]", "[1],[0],", "[1], ,[0]"):
+        code, out, err = run(capsys, "cohomology", "--shape", "fl(1;2)", "--weight", weight)
+        assert (code, out) == (EXIT_USAGE, ""), weight
+        assert "cannot parse weight blocks" in err, weight
+    _, expected, _ = run(capsys, "cohomology", "--shape", "fl(1;2)", "--weight", "[1],[0]")
+    for weight in (" [1] , [0] ", "[ 1 ],\t[0]"):
+        code, out, _ = run(capsys, "cohomology", "--shape", "fl(1;2)", "--weight", weight)
+        assert (code, out) == (EXIT_OK, expected), weight
 
 
 def test_np_certified(capsys):

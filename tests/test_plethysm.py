@@ -2,7 +2,7 @@ from math import comb
 
 from np_atlas.partitions import conjugate, pad, weyl_dimension
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
-from np_atlas.schur import filtration_quotients
+from np_atlas.schur import filtration_quotients, schur_character
 
 
 def test_wedge_of_wedge2_examples():
@@ -39,6 +39,41 @@ def test_dimension_identity_small():
             assert total == comb(n * (n - 1) // 2, j)
             total = sum(weyl_dimension(pad(s, n), n) for s in wedge_of_sym2(j, n))
             assert total == comb(n * (n + 1) // 2, j)
+
+
+def elementary_of_monomials(j, monomials, n):
+    """e_j of the given monomials (exponent vectors in n variables), as
+    {exponent vector: coefficient}: the degree-j part of prod (1 + t m)."""
+    layers = [{(0,) * n: 1}] + [{} for _ in range(j)]
+    for m in monomials:
+        for k in range(j, 0, -1):
+            for expo, c in layers[k - 1].items():
+                key = tuple(x + y for x, y in zip(expo, m))
+                layers[k][key] = layers[k].get(key, 0) + c
+    return layers[j]
+
+
+def test_wedge_powers_match_character_oracle():
+    # the character of wedge^j(wedge^2 V) is e_j of the x_a x_b with a < b, and
+    # that of wedge^j(S^2 V) is e_j of those with a <= b; j runs past comb(n, 2)
+    # and comb(n + 1, 2), where both sides are zero
+    cases = 0
+    for n in range(1, 6):
+        unit = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+        pairs = {
+            wedge_of_wedge2: [(a, b) for a in range(n) for b in range(a + 1, n)],
+            wedge_of_sym2: [(a, b) for a in range(n) for b in range(a, n)],
+        }
+        for family, ab in pairs.items():
+            monomials = [tuple(x + y for x, y in zip(unit[a], unit[b])) for a, b in ab]
+            for j in range(7):
+                total = {}
+                for shape in family(j, n):
+                    for expo, c in schur_character(shape, n).items():
+                        total[expo] = total.get(expo, 0) + c
+                assert total == elementary_of_monomials(j, monomials, n), (family, n, j)
+                cases += 1
+    assert cases == 70
 
 
 def leading_sums(sign, j, s):

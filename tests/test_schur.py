@@ -187,6 +187,22 @@ def test_lr_walk_matches_plain_walk():
     assert cases == 17328
 
 
+def test_lr_walk_matches_plain_walk_on_product_shapes():
+    # the shapes tensor_decompose walks for mu of 9 and nu of 5: weight 14,
+    # forced blocks of up to 9 rows, and caps that fall inside them; the
+    # contents must also come in the same order
+    cases = 0
+    for mu in partitions_of(9):
+        for nu in partitions_of(5):
+            lam = tuple(m + nu[0] for m in mu) + nu
+            inner = (nu[0],) * len(mu)
+            for max_length in range(len(mu) + len(nu) + 1):
+                assert list(_lr_fillings.__wrapped__(lam, inner, max_length).items()) == \
+                    list(_lr_fillings_plain(lam, inner, max_length).items()), (lam, max_length)
+                cases += 1
+    assert cases == 1706
+
+
 def test_sub_diagrams_are_the_contained_partitions():
     for outer in all_shapes(8):
         for cap in range(5):
