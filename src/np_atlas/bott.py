@@ -12,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import product
+from operator import lt
 
-from .partitions import _shifted_dimension, check_int, normalize, pad
+from .partitions import _shifted_dimension, check_int, check_ints, normalize, pad
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,13 @@ class BlockedWeight:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(check_int("weight entry", x) for x in b) for b in self.blocks)
+        try:
+            blocks = tuple([check_ints("weight entry", b) for b in self.blocks])
+        except TypeError:
+            raise ValueError(f"blocks must come as a sequence, got {self.blocks!r}") from None
         object.__setattr__(self, "blocks", blocks)
         for b in blocks:
-            if any(x < y for x, y in zip(b, b[1:])):
+            if any(map(lt, b, b[1:])):
                 raise ValueError(f"block not weakly decreasing: {b}")
             if not b:
                 raise ValueError("empty block")
@@ -81,8 +85,8 @@ def _inversion_count(seq: tuple[int, ...]) -> int:
 
 def flag_dimension(ranks: tuple[int, ...]) -> int:
     """Dimension of the flag variety with the given quotient ranks."""
-    ranks = tuple(check_int("rank", r) for r in ranks)
-    if any(r < 0 for r in ranks):
+    ranks = check_ints("rank", ranks)
+    if ranks and min(ranks) < 0:
         raise ValueError(f"ranks must be non-negative: {ranks}")
     return sum(r * sum(ranks[i + 1:]) for i, r in enumerate(ranks))
 
@@ -122,8 +126,12 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
     for i < k, a_k >= l > 0.  The exported bound is the maximum of the
     configuration expression over all admissible (s_2..s_{k+1}).
     """
-    ranks = tuple(check_int("rank", r) for r in ranks)
-    coeffs = tuple(check_int("line-bundle coefficient", c) for c in coeffs) + (0,)
+    ranks = check_ints("rank", ranks)
+    coeffs = check_ints("line-bundle coefficient", coeffs) + (0,)
+    try:
+        alpha = tuple(alpha)
+    except TypeError:
+        raise ValueError(f"alpha must come as a sequence of partitions, got {alpha!r}") from None
     if len(alpha) != len(ranks) - 1 or len(coeffs) != len(ranks):
         raise ValueError("block count mismatch")
     if check_int("l", l) <= 0:

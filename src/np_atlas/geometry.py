@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from operator import le, sub
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
-from .partitions import check_int, pad
+from .partitions import check_int, check_ints, pad
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import tensor_decompose
 
@@ -57,9 +58,9 @@ class FlagShape:
 
     def __post_init__(self):
         check_int("n", self.n)
-        dims = tuple(check_int("dim", d) for d in self.dims)
+        dims = check_ints("dim", self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims or any(a <= b for a, b in zip(dims, dims[1:])):
+        if not dims or any(map(le, dims, dims[1:])):
             raise ValueError(f"dims must be strictly decreasing and non-empty: {dims}")
         if dims[-1] < 1 or dims[0] >= self.n:
             raise ValueError(f"dims out of range for n={self.n}: {dims}")
@@ -72,7 +73,7 @@ class FlagShape:
 def quotient_ranks(shape: FlagShape) -> tuple[int, ...]:
     """Ranks (r_1..r_{k+1}) of the successive tautological quotients."""
     dims = (shape.n,) + shape.dims + (0,)
-    return tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
+    return tuple(map(sub, dims, dims[1:]))
 
 
 def _orthogonal_family(shape: FlagShape) -> Family:
@@ -121,20 +122,20 @@ NOT_NEF = "not_nef"
 
 
 def _least_gap(a: tuple[int, ...]) -> int:
-    """min(a_i - a_{i+1}, a_k) of an int coefficient chain; 0 for the empty chain."""
-    chain = tuple(check_int("line-bundle coefficient", x) for x in a) + (0,)
-    return min((x - y for x, y in zip(chain, chain[1:])), default=0)
+    """min(a_i - a_{i+1}, a_k) of a checked int coefficient tuple; 0 for ()."""
+    chain = a + (0,)
+    return min(map(sub, chain, chain[1:]), default=0)
 
 
 def positivity(a: tuple[int, ...]) -> str:
     """Classify a line bundle by its coefficient chain in the det-quotient basis."""
-    gap = _least_gap(a)
+    gap = _least_gap(check_ints("line-bundle coefficient", a))
     return AMPLE if gap > 0 else NEF_NOT_AMPLE if gap == 0 else NOT_NEF
 
 
 def decompose_ample(a: tuple[int, ...]) -> int:
     """Largest l with L = H^l (x) M, H ample and M nef."""
-    a = tuple(a)
+    a = check_ints("line-bundle coefficient", a)
     gap = _least_gap(a)
     if gap <= 0:
         raise ValueError(f"line bundle {a} is not ample")
@@ -143,7 +144,7 @@ def decompose_ample(a: tuple[int, ...]) -> int:
 
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
     """The integer coefficients as a tuple, once their count is the Picard rank k."""
-    a = tuple(check_int("line-bundle coefficient", x) for x in a)
+    a = check_ints("line-bundle coefficient", a)
     if len(a) != shape.k:
         raise ValueError(f"expected {shape.k} line-bundle coefficients, got {len(a)}: {a}")
     return a

@@ -9,6 +9,7 @@ bundles and canonical twists can be handled uniformly.
 from __future__ import annotations
 
 from math import factorial, isqrt, prod
+from operator import lt
 from typing import Iterable
 
 
@@ -19,18 +20,37 @@ def check_int(name: str, value: int) -> int:
     return value
 
 
+def check_ints(name: str, values: Iterable[int]) -> tuple[int, ...]:
+    """values as a tuple, once it is a sequence of entries of type exactly int.
+
+    One plain loop, with check_int's message for a bad entry: this runs on
+    every query, where a generator per call costs more than the check.
+    """
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} values must come as a sequence, got {values!r}") from None
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    return values
+
+
 def normalize(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a weakly decreasing sequence by stripping trailing zeros.
 
     Every entry must be exactly an int: floats and bools are refused rather
     than truncated.
     """
-    p = tuple(parts)
-    if any(type(x) is not int for x in p):
-        raise ValueError(f"partition entries must be ints: {p}")
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {p}")
+    try:
+        p = tuple(parts)
+    except TypeError:
+        raise ValueError(f"a partition must come as a sequence, got {parts!r}") from None
+    for x in p:
+        if type(x) is not int:
+            raise ValueError(f"partition entries must be ints: {p}")
+    if any(map(lt, p, p[1:])):
+        raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part in partition: {p}")
     while p and p[-1] == 0:
@@ -93,12 +113,11 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
     computed exactly by `_shifted_dimension`.  Invariant under adding a
     constant to all entries.
     """
-    w = tuple(check_int("weight entry", x) for x in w)
+    w = check_ints("weight entry", w)
     if len(w) != check_int("n", n):
         raise ValueError(f"weight {w} has length {len(w)}, expected {n}")
-    for a, b in zip(w, w[1:]):
-        if a < b:
-            raise ValueError(f"weight not weakly decreasing: {w}")
+    if any(map(lt, w, w[1:])):
+        raise ValueError(f"weight not weakly decreasing: {w}")
     return _shifted_dimension([x - i for i, x in enumerate(w)])
 
 

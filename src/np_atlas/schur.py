@@ -287,7 +287,10 @@ def filtration_quotients(alpha: tuple[int, ...],
     per block, with the multiplicity of S^alpha in their tensor product.
     """
     alpha = normalize(alpha)
-    ranks = tuple(ranks)
+    try:
+        ranks = tuple(ranks)
+    except TypeError:
+        raise ValueError(f"block ranks must come as a sequence, got {ranks!r}") from None
     if any(type(r) is not int or r < 0 for r in ranks):
         raise ValueError(f"block ranks must be non-negative ints: {ranks}")
     if len(alpha) > sum(ranks):

@@ -8,7 +8,11 @@ threshold.  Each row is an integer numerator over 2s and comparisons
 cross-multiply integers, so the arithmetic stays exact and never uses floats.
 A process computes each threshold once per (family, ranks, p) and reuses it
 for the certificates that ask for it again; the clause a certificate names is
-also picked by cross-multiplied integer tests.
+also picked by cross-multiplied integer tests.  A certificate validates its
+input once, at its own boundary: p and the line bundle are checked there,
+and the tail ranks come from a FlagShape, whose checks already make them
+positive ints, so it reads the cached threshold without np_threshold's
+checks of p and the ranks.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
 sweep that evaluates each distinct Koszul twist once.
 """
@@ -33,7 +37,7 @@ from .geometry import (
     positivity,
     quotient_ranks,
 )
-from .partitions import check_int, conjugate, normalize
+from .partitions import check_int, check_ints, conjugate, normalize
 from .schur import SchurSummand, partitions_of, skew_decompose
 
 CERTIFIED = "certified"
@@ -126,15 +130,16 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
         raise ValueError(f"unknown family {family!r}")
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
-    ranks = tuple(check_int("rank", r) for r in ranks)
-    if not ranks or any(r < 1 for r in ranks):
+    ranks = check_ints("rank", ranks)
+    if not ranks or min(ranks) < 1:
         raise ValueError("ranks must be positive")
     return _threshold(family, ranks, p)
 
 
-# Behind np_threshold's checks, so 2.0 and True never reach the cache, where
-# they would hash like 2 and 1.  A certificate asks for the threshold its
-# caller has usually just computed; the result is frozen, so sharing it is safe.
+# Behind np_threshold's checks, or np_certify's p check and a FlagShape's tail
+# ranks, so 2.0 and True never reach the cache, where they would hash like 2
+# and 1.  A certificate asks for the threshold its caller has usually just
+# computed; the result is frozen, so sharing it is safe.
 @functools.lru_cache(maxsize=256)
 def _threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult:
     sign = -1 if family == TYPE_C else 1
@@ -237,17 +242,18 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
             (),
         )
 
+    # p is checked above, and a FlagShape's tail ranks are positive ints
     family = TYPE_C if spec.family is Family.C else TYPE_BD
-    tail_ranks = quotient_ranks(spec.shape)[1:]
-    thr = np_threshold(family, tail_ranks, p)
+    thr = _threshold(family, quotient_ranks(spec.shape)[1:], p)
     thr_num, thr_den = thr.value.numerator, thr.value.denominator
     certified = l * thr_den >= thr_num
     # rows within 1 of the threshold, value > thr - 1, cross-multiplied
-    trace = tuple(
-        (s, list(config), value.numerator, value.denominator)
-        for s, config, value in thr.per_s
-        if value.numerator * thr_den > (thr_num - thr_den) * value.denominator
-    )
+    below = thr_num - thr_den
+    trace = []
+    for s, config, value in thr.per_s:
+        num, den = value.numerator, value.denominator
+        if num * thr_den > below * den:
+            trace.append((s, list(config), num, den))
     return NpCertificate(
         query,
         CERTIFIED if certified else NOT_CERTIFIED,
@@ -255,7 +261,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
         if certified else "none",
         thr.value,
         thr.witness_config,
-        trace,
+        tuple(trace),
     )
 
 

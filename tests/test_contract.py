@@ -1,11 +1,13 @@
-"""Every exported callable refuses a float or a bool where it takes an int.
+"""Every exported callable refuses a float or a bool where it takes an int,
+and a bare int where it takes a sequence.
 
 CALLS holds one valid call per callable in np_atlas.__all__.  The valid call
 runs first, so any cache is warm; then each int leaf of its arguments (inside
 tuples, not inside built objects, which have calls of their own) is replaced
 by x + 0.5, by float(x) and, where x is 1, by True, and every such call must
-raise ValueError.  A new exported callable fails the test until it has an
-entry.
+raise ValueError.  In the same way each tuple argument, and each tuple inside
+one, is replaced by the int 3.  A new exported callable fails the test until
+it has an entry.
 """
 
 import pytest
@@ -72,6 +74,27 @@ def _variants(value):
                 yield value[:i] + (bad,) + value[i + 1:]
 
 
+def _bare_ints(args):
+    """Copies of an argument tuple with one tuple inside it replaced by 3."""
+    for i, item in enumerate(args):
+        if isinstance(item, tuple):
+            yield args[:i] + (3,) + args[i + 1:]
+            for bad in _bare_ints(item):
+                yield args[:i] + (bad,) + args[i + 1:]
+
+
+def _accepted(fn, variants):
+    """The variants that fn does not refuse with ValueError."""
+    accepted = []
+    for bad_args in variants:
+        try:
+            fn(*bad_args)
+        except ValueError:
+            continue
+        accepted.append(bad_args)
+    return accepted
+
+
 def test_every_exported_callable_has_a_call():
     assert set(CALLS) == {n for n in np_atlas.__all__ if callable(getattr(np_atlas, n))}
 
@@ -81,11 +104,14 @@ def test_int_leaves_refuse_floats_and_bools(name):
     fn = getattr(np_atlas, name)
     args = CALLS[name]
     fn(*args)
-    accepted = []
-    for bad_args in _variants(args):
-        try:
-            fn(*bad_args)
-        except ValueError:
-            continue
-        accepted.append(bad_args)
+    accepted = _accepted(fn, _variants(args))
+    assert not accepted, f"{name} accepted {accepted}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items() if args is not None))
+def test_sequence_arguments_refuse_bare_ints(name):
+    fn = getattr(np_atlas, name)
+    args = CALLS[name]
+    fn(*args)
+    accepted = _accepted(fn, _bare_ints(args))
     assert not accepted, f"{name} accepted {accepted}"

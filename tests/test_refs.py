@@ -1,18 +1,26 @@
-"""Every schur-cold query of the benchmark still gives its recorded output.
+"""Every query of the three gated benchmark workloads still gives its recorded output.
 
 perfbench/tests checks the references on a prefix of one seed's queries.
-This runs the workload's whole universe against
-perfbench/refs/schur-cold.json.gz: every tensor product, filtration quotient
-and Schur complex term, and the restriction checks at all three gaps.
+This runs each gated workload's whole universe against
+perfbench/refs/<workload>.json.gz:
+
+- schur-cold: every tensor product, filtration quotient and Schur complex
+  term, and the restriction checks at all three gaps;
+- threshold-sweep: every threshold with its certificates at the two gaps
+  either side of it;
+- cli-cohomology: every CLI cohomology call.
+
 perfbench/workloads.py is loaded from its file and only read.
 """
 
+import functools
 import importlib.util
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
+@functools.cache
 def _load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
@@ -20,13 +28,34 @@ def _load_workloads():
     return module
 
 
-def test_schur_cold_universe_matches_references():
+def _run_universe(name):
+    """The workload's queries, and the digests of their outputs by key."""
     workloads = _load_workloads()
-    queries = workloads.universe("schur-cold")
+    queries = workloads.universe(name)
     digests = workloads.KeyDigests()
     for query in queries:
         digests.add(query.key, query.canon(query.call()))
+    return queries, digests.result()
+
+
+def test_schur_cold_universe_matches_references():
+    queries, digests = _run_universe("schur-cold")
     assert len(queries) == 393
     assert sum(q.key.startswith("rsc|") for q in queries) == 30
     assert sum(q.key.startswith("sct|") for q in queries) == 96
-    assert digests.result() == workloads.load_refs("schur-cold")
+    assert digests == _load_workloads().load_refs("schur-cold")
+
+
+def test_threshold_sweep_universe_matches_references():
+    queries, digests = _run_universe("threshold-sweep")
+    # C and BD, 780 rank tuples, p = 1..10; a threshold and two certificates each
+    assert len(digests) == 15_600
+    assert len(queries) == 46_800
+    assert digests == _load_workloads().load_refs("threshold-sweep")
+
+
+def test_cli_cohomology_universe_matches_references():
+    queries, digests = _run_universe("cli-cohomology")
+    # 16 sizes n = 4..64, 80 weights each
+    assert len(queries) == len(digests) == 1_280
+    assert digests == _load_workloads().load_refs("cli-cohomology")

@@ -268,10 +268,15 @@ def test_certified_line_bundle_has_picard_rank_arity(query):
 
 def test_np_certify_validation():
     spec = parse_variety("sfl(2;6)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"line bundle \(0,\) is not ample"):
         np_certify(spec, (0,), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must be >= 1"):
         np_certify(spec, (1,), 0)
+    with pytest.raises(ValueError, match="expected 1 line-bundle coefficients"):
+        np_certify(spec, (2, 1), 1)
+    for ranks in ((0,), ()):
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            np_threshold("C", ranks, 1)
 
 
 def test_certificate_json_schema():
