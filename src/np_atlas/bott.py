@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import product
 from operator import lt
 
 from .partitions import _shifted_dimension, check_int, check_ints, normalize, pad
@@ -148,10 +147,13 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
     result = bbw_cohomology(BlockedWeight(tuple(blocks)))
     exact = None if result.vanishes else result.degree
 
-    def value(config: tuple[int, ...]) -> int:
-        return (sum(sum(part[:s]) for part, s in zip(padded, config))
-                - l * sum(config) - sum(s * s for s in config))
-
-    # the first config, 0 <= s_i <= r_i on the tail blocks, of maximal value
-    best = max(product(*(range(r + 1) for r in ranks[1:])), key=value)
-    return InversionBoundReport(exact, value(best), best)
+    # a config's value sums sum(part[:s]) - l*s - s*s over the tail blocks, so
+    # it is maximal block by block; each block's first maximal s gives the
+    # first maximal config, 0 <= s_i <= r_i, in lexicographic order
+    bound, best = 0, []
+    for part, r in zip(padded, ranks[1:]):
+        values = [sum(part[:s]) - l * s - s * s for s in range(r + 1)]
+        top = max(values)
+        bound += top
+        best.append(values.index(top))
+    return InversionBoundReport(exact, bound, tuple(best))

@@ -178,6 +178,9 @@ def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int,
     if not 0 <= check_int("j", j) <= 5:
         raise ValueError("G2 Koszul terms exist for 0 <= j <= 5")
     a = check_line_bundle(spec.shape, a)
+    tail = check_ints("tail", tail)
+    if len(tail) != 2:
+        raise ValueError(f"tail must have two entries, got {tail}")
     block1 = tuple(x + a[0] - j for x in _g2_column(j))
     x, y = tail
     if spec.family is Family.G2_X:

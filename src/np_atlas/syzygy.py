@@ -1,20 +1,23 @@
 """Kernel-bundle filtrations and exact-rational certification of Property (N_p).
 
 The B/C/D certifier evaluates a closed-form rational threshold: the maximum,
-over block configurations, of (p+1)/s + (s-1)/2 - sum(s_j^2)/s in the
-symplectic case and the analogue with (s+1)/2 in the orthogonal case.  The
-gap l of the queried bundle certifies (N_p) exactly when l is at least the
-threshold.  Each row is an integer numerator over 2s and comparisons
+over block configurations, of (p+1)/s + (s-1)/2 + shift - sum(s_j^2)/s, where
+the shift is 0 in the symplectic case (wedge^2) and 1 in the orthogonal case
+(S^2).  The gap l of the queried bundle certifies (N_p) exactly when l is at
+least the threshold.  Each row is an integer numerator over 2s and comparisons
 cross-multiply integers, so the arithmetic stays exact and never uses floats.
 A process computes each threshold once per (family, ranks, p) and reuses it
-for the certificates that ask for it again; the clause a certificate names is
-also picked by cross-multiplied integer tests.  A certificate validates its
+for the certificates that ask for it again.  One clause rule, read with the
+same shift, names the clause of a certified C or BD query, again by
+cross-multiplied integer tests.  A certificate validates its
 input once, at its own boundary: p and the line bundle are checked there,
 and the tail ranks come from a FlagShape, whose checks already make them
 positive ints, so it reads the cached threshold without np_threshold's
 checks of p and the ranks.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
-sweep that evaluates each distinct Koszul twist once.
+sweep that evaluates each distinct Koszul twist once.  One builder makes every
+certificate, of type A, B/C/D or G2: it names a clause exactly when the query
+is certified.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ SCHEMA_VERSION = 1
 
 TYPE_C = "C"
 TYPE_BD = "BD"
+# S^2 (BD) against wedge^2 (C): a BD threshold row is the C row plus one, and
+# the clause bounds read p + shift for p and n1 - 3 + 2*shift for n1 - 3
+_SHIFT = {TYPE_C: 0, TYPE_BD: 1}
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     family is "C" (symplectic) or "BD" (orthogonal).  The returned value is
     the exact maximum over all configurations 0 <= s_i <= r_i with s >= 1.
     """
-    if family not in (TYPE_C, TYPE_BD):
+    if family not in _SHIFT:
         raise ValueError(f"unknown family {family!r}")
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
@@ -142,12 +148,12 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
 # computed; the result is frozen, so sharing it is safe.
 @functools.lru_cache(maxsize=256)
 def _threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult:
-    sign = -1 if family == TYPE_C else 1
+    shift = _SHIFT[family]
     table = []
     best = None  # (num, den, value, config) of the first maximal row
     for s, config, sq in _min_square_configs(ranks):
-        # (p+1)/s + (s+sign)/2 - sq/s over the common denominator 2s
-        num, den = 2 * (p + 1) + s * (s + sign) - 2 * sq, 2 * s
+        # (p+1)/s + (s-1)/2 + shift - sq/s over the common denominator 2s
+        num, den = 2 * (p + 1) + s * (s - 1 + 2 * shift) - 2 * sq, 2 * s
         value = Fraction(num, den)
         table.append((s, config, value))
         if best is None or num * best[1] > best[0] * den:
@@ -186,39 +192,38 @@ class NpCertificate:
         }
 
 
-def _clause_for(family: Family, n1: int, k: int, l: int, p: int) -> str:
+def _clause_for(family: str, n1: int, k: int, l: int, p: int) -> str:
     """The clause that certifies gap l at p, for a certified B/C/D query.
 
-    n1 is the first dimension of the flag and k its Picard rank.  The bounds
-    p >= n1/2 - 1 and l >= (p+1)/n1 + (n1-3)/2 are compared multiplied out
-    by 2 and by 2*n1 (n1 >= 1), so no Fraction is built; BD reads p+1 for p
-    and n1-1 for n1-3.
+    n1 is the first dimension of the flag and k its Picard rank.  A certified
+    gap is at least the threshold's s = 1 row, p + shift, so every clause
+    holds l >= p + shift.  The bounds p + shift >= n1/2 - 1 and
+    l >= (p+1)/n1 + (n1-3+2*shift)/2 are compared multiplied out by 2 and by
+    2*n1 (n1 >= 1), so no Fraction is built.
     """
-    if family is Family.C:
-        if k <= 2 and l >= p:
-            return "C:pic-rank-le-2"
-        if l >= p and 2 * p >= n1 - 2:
-            return "C:large-p"
-        if l >= p and 2 * n1 * l >= 2 * (p + 1) + n1 * (n1 - 3):
-            return "C:general-bound"
-        return "C:config-max"
-    if k <= 2 and l >= p + 1:
-        return "BD:pic-rank-le-2"
-    if l >= p + 1 and 2 * (p + 1) >= n1 - 2:
-        return "BD:large-p"
-    if l >= p + 1 and 2 * n1 * l >= 2 * (p + 1) + n1 * (n1 - 1):
-        return "BD:general-bound"
-    return "BD:config-max"
+    shift = _SHIFT[family]
+    if k <= 2:
+        return f"{family}:pic-rank-le-2"
+    if 2 * (p + shift) >= n1 - 2:
+        return f"{family}:large-p"
+    if 2 * n1 * l >= 2 * (p + 1) + n1 * (n1 - 3 + 2 * shift):
+        return f"{family}:general-bound"
+    return f"{family}:config-max"
 
 
-def _query(spec: VarietySpec, a: tuple[int, ...], l: int, p: int) -> dict:
-    return {
+def _certificate(spec: VarietySpec, a: tuple[int, ...], l: int, p: int, clause: str | None,
+                 threshold: Fraction, witness_config: tuple[int, ...],
+                 trace: tuple) -> NpCertificate:
+    """The certificate of a query: clause names the rule that certified it, or is None."""
+    query = {
         "family": spec.family.value,
         "shape": {"n": spec.shape.n, "dims": list(spec.shape.dims)},
         "line_bundle": list(a),
         "gap": l,
         "p": p,
     }
+    verdict = NOT_CERTIFIED if clause is None else CERTIFIED
+    return NpCertificate(query, verdict, clause or "none", threshold, witness_config, trace)
 
 
 def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
@@ -229,24 +234,14 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
         raise ValueError("p must be >= 1")
     a = check_line_bundle(spec.shape, a)
     l = decompose_ample(a)
-    query = _query(spec, a, l, p)
-
     if spec.family is Family.A:
-        certified = l >= p
-        return NpCertificate(
-            query,
-            CERTIFIED if certified else NOT_CERTIFIED,
-            "A:gap-at-least-p" if certified else "none",
-            Fraction(p),
-            (),
-            (),
-        )
+        return _certificate(spec, a, l, p, "A:gap-at-least-p" if l >= p else None,
+                            Fraction(p), (), ())
 
     # p is checked above, and a FlagShape's tail ranks are positive ints
     family = TYPE_C if spec.family is Family.C else TYPE_BD
     thr = _threshold(family, quotient_ranks(spec.shape)[1:], p)
     thr_num, thr_den = thr.value.numerator, thr.value.denominator
-    certified = l * thr_den >= thr_num
     # rows within 1 of the threshold, value > thr - 1, cross-multiplied
     below = thr_num - thr_den
     trace = []
@@ -254,15 +249,9 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
         num, den = value.numerator, value.denominator
         if num * thr_den > below * den:
             trace.append((s, list(config), num, den))
-    return NpCertificate(
-        query,
-        CERTIFIED if certified else NOT_CERTIFIED,
-        _clause_for(spec.family, spec.shape.dims[0], spec.shape.k, l, p)
-        if certified else "none",
-        thr.value,
-        thr.witness_config,
-        tuple(trace),
-    )
+    clause = (_clause_for(family, spec.shape.dims[0], spec.shape.k, l, p)
+              if l * thr_den >= thr_num else None)
+    return _certificate(spec, a, l, p, clause, thr.value, thr.witness_config, tuple(trace))
 
 
 def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
@@ -306,12 +295,5 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
                         row = (j, i, tail[1], tail[0], d)
                     trace.append(row + ("ok" if ok else "violation",))
 
-    certified = all(row[-1] == "ok" for row in trace)
-    return NpCertificate(
-        _query(spec, a, l, p),
-        CERTIFIED if certified else NOT_CERTIFIED,
-        "G2:exhaustive-bbw" if certified else "none",
-        Fraction(p),
-        (),
-        tuple(trace),
-    )
+    clause = "G2:exhaustive-bbw" if all(row[-1] == "ok" for row in trace) else None
+    return _certificate(spec, a, l, p, clause, Fraction(p), (), tuple(trace))

@@ -99,8 +99,11 @@ def test_criterion_7_threshold_clause_consistency():
                 cap_bd = max(Fraction(p + 1), Fraction(p + 1, n1) + Fraction(n1 - 1, 2))
                 if tc > cap_c or tbd > cap_bd:
                     bad.append((ranks, p))
+                # the s = 1 row floors every threshold: a certified gap is >= p + shift
+                if tc < p or tbd < p + 1:
+                    bad.append((ranks, p, "floor"))
     assert not bad, bad[:5]
-    report(7, "closed-form caps dominate every rank tuple (len<=5, p<=10)",
+    report(7, "closed-form caps dominate and p, p+1 floor every rank tuple (len<=5, p<=10)",
            time.perf_counter() - start, 30)
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,7 @@ from np_atlas.bott import (
     flag_dimension,
     inversion_bound,
 )
-from np_atlas.partitions import weyl_dimension
+from np_atlas.partitions import normalize, pad, weyl_dimension
 
 
 def test_blocked_weight_validation():
@@ -114,6 +115,29 @@ def test_inversion_bound_examples():
     assert (report.exact_inversions, report.bound, report.witness_config) == (1, 1, (1,))
     report = inversion_bound(((),), (1, 1), (5,), 5)
     assert (report.exact_inversions, report.bound, report.witness_config) == (0, 0, (0,))
+
+
+def test_inversion_bound_matches_product_maximum():
+    # reference: the first maximal config over the whole product, as the bound
+    # was computed before it was maximised block by block
+    rng = random.Random(20)
+    for _ in range(2000):
+        tail = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        ranks = (rng.randint(1, 3), *tail)
+        alpha = tuple(normalize(sorted((rng.randint(0, 5) for _ in range(r)), reverse=True))
+                      for r in tail)
+        l = rng.randint(1, 3)
+        steps = [l + rng.randint(0, 1) for _ in tail]  # gaps of at least l
+        coeffs = tuple(sum(steps[i:]) for i in range(len(tail)))
+        padded = [pad(part, r) for part, r in zip(alpha, tail)]
+
+        def value(config):
+            return (sum(sum(part[:s]) for part, s in zip(padded, config))
+                    - l * sum(config) - sum(s * s for s in config))
+
+        best = max(product(*(range(r + 1) for r in tail)), key=value)
+        report = inversion_bound(alpha, ranks, coeffs, l)
+        assert (report.bound, report.witness_config) == (value(best), best), (alpha, ranks, l)
 
 
 def test_inversion_bound_gap_hypothesis():

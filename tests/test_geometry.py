@@ -241,6 +241,12 @@ def test_g2_koszul_twist_weight():
     assert w.blocks == ((3, 2, 2, 2, 2), (1,), (0,))
     w = g2_koszul_twist_weight(gp, (3, 1), 1, (2, 5))
     assert w.blocks == ((3, 2, 2, 2, 2), (3,), (5,))
+    with pytest.raises(ValueError, match="tail values must come as a sequence, got 3"):
+        g2_koszul_twist_weight(gx, (4,), 2, 3)
+    with pytest.raises(ValueError, match=r"tail must have two entries, got \(1, 2, 3\)"):
+        g2_koszul_twist_weight(gp, (3, 1), 1, (1, 2, 3))
+    with pytest.raises(ValueError, match="tail must be an int"):
+        g2_koszul_twist_weight(gx, (4,), 2, (1, 2.0))
     for token in SQUARES:
         spec = parse_variety(token)
         if spec.family in (Family.G2_X, Family.G2_P):

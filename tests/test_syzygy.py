@@ -1,6 +1,8 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,8 @@ from np_atlas.geometry import (
     parse_variety,
     quotient_ranks,
 )
+from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
+from np_atlas.schur import filtration_quotients
 from np_atlas.syzygy import (
     CERTIFIED,
     NOT_CERTIFIED,
@@ -150,7 +154,7 @@ def test_np_threshold_cache_sits_behind_the_checks():
 
 def _clause_by_fractions(family, n1, k, l, p):
     """The clause picked with the bounds written as Fractions: the oracle."""
-    if family is Family.C:
+    if family == "C":
         if k <= 2 and l >= p:
             return "C:pic-rank-le-2"
         if l >= p and Fraction(p) >= Fraction(n1, 2) - 1:
@@ -167,12 +171,45 @@ def _clause_by_fractions(family, n1, k, l, p):
     return "BD:config-max"
 
 
+def test_np_threshold_is_the_configuration_bound_on_the_filtration_pieces():
+    """np_threshold rebuilt from the constituents of the Koszul terms.
+
+    The j-th Koszul term of the defining square (wedge^2 for C, S^2 for BD) has
+    the constituents S^alpha, alpha in wedges(j, n1); S^alpha of the tail
+    bundle is filtered with graded pieces rho, one partition per tail block.
+    The threshold is the maximum, over j >= 0, alpha, rho and every non-zero
+    configuration 0 <= s_b <= r_b, of
+    (p + 1 + sum_b sum(rho_b[:s_b]) - j - sum_b s_b^2) / s, as a Fraction.
+    """
+    for family, wedges, shift in (("C", wedge_of_wedge2, 0), ("BD", wedge_of_sym2, 1)):
+        for length in range(1, 4):
+            for ranks in product(range(1, 4), repeat=length):
+                n1 = sum(ranks)
+                if n1 > 5:
+                    continue
+                configs = [c for c in product(*(range(r + 1) for r in ranks)) if any(c)]
+                # the p-free part, maximal per (s, sum of squares)
+                best = {}
+                for j in range(comb(n1 + shift, 2) + 1):
+                    for alpha in wedges(j, n1):
+                        for piece in filtration_quotients(alpha, ranks):
+                            for config in configs:
+                                key = (sum(config), sum(s * s for s in config))
+                                gain = sum(sum(rho[:s]) for rho, s in zip(piece.shape, config))
+                                best[key] = max(best.get(key, gain - j), gain - j)
+                for p in range(1, 11):
+                    rebuilt = max(Fraction(p + 1 + top - sq, s) for (s, sq), top in best.items())
+                    assert rebuilt == np_threshold(family, ranks, p).value, (family, ranks, p)
+
+
 def test_clause_integer_tests_match_fractions():
-    for family in (Family.C, Family.B):
+    # _clause_for names the clause of a certified query, whose gap is at least
+    # the threshold's s = 1 row p + shift (criterion 7 checks that premise)
+    for family, shift in (("C", 0), ("BD", 1)):
         for n1 in range(1, 25):
             for k in range(1, 6):
-                for l in range(1, 30):
-                    for p in range(1, 20):
+                for p in range(1, 20):
+                    for l in range(p + shift, 30):
                         assert _clause_for(family, n1, k, l, p) == _clause_by_fractions(
                             family, n1, k, l, p), (family, n1, k, l, p)
 
