@@ -115,13 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The np-atlas argument parser, built once per process.
 
     Each parse_args call returns a fresh Namespace, so the cached parser
-    carries no state from one main call to the next.
+    carries no state from one main call to the next.  Its ``commands`` maps
+    each subcommand name to that subcommand's own parser.
     """
     parser = argparse.ArgumentParser(
         prog="np-atlas",
         description="Exact cohomology of homogeneous bundles and syzygy certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("cohomology", help="all cohomology of a Schur-power bundle")
     p.add_argument("--shape", required=True, help='flag shape, e.g. "fl(1;2)"')
@@ -151,8 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # The top-level parser hands everything after a subcommand's name to
+        # that subcommand's parser unread, so call that parser directly.
+        subparser = parser.commands.get(argv[0]) if argv else None
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args = subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -8,6 +8,7 @@ bundles and canonical twists can be handled uniformly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import factorial, isqrt, prod
 from operator import lt
 from typing import Iterable
@@ -122,40 +123,48 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
 
 
 # Where the difference histogram beats the per-row products, timed with
-# timeit (CPython 3.11, x86-64).  On the benchmark's weights, whose span
-# l_0 - l_{n-1} is about 3n, the two paths tie near n = 16-20; the histogram
-# is 5x faster at n = 64 and 60x at n = 300.  The histogram's time and bytes
-# grow with the span: at a span of one unit per pair of indices the paths tie
-# at n = 64, and the histogram is 1.6x slower at n = 24 but 6x faster at
-# n = 200.  A wider span keeps the per-row products, so that a weight like
-# (10**12, ..., 0) stays cheap.
-_HISTOGRAM_MIN_N = 20
+# timeit (CPython 3.11.7, x86-64, 2-CPU VM).  On the benchmark's weights, whose
+# span l_0 - l_{n-1} is about 3n, the two paths tie at n = 7 and the histogram
+# is 1.1x faster at n = 10, 2.4x at n = 32 and about 80x at n = 300.  The
+# histogram's time and bytes grow with the span: at a span of one unit per
+# pair of indices the paths tie at n = 8 and again near n = 40, the histogram
+# is 1.2-1.4x slower in between, and 5x faster at n = 200.  A wider span keeps
+# the per-row products, so that a weight like (10**12, ..., 0) stays cheap.
+_HISTOGRAM_MIN_N = 8
 _HISTOGRAM_SPAN_PER_PAIR = 1
 
-# _spf[d] is the smallest prime factor of a composite d and 0 for d prime (or
-# d < 2).  One table serves every call; it is rebuilt larger when a span
-# reaches past its end.
-_spf: list[int] = [0, 0]
+# The primes and composites below a limit, shared by every call: the
+# composites as ascending (d, p, d // p) with p the smallest prime factor of d.
+# A span past the limit builds all three afresh and publishes them in one
+# assignment, so no thread pairs the lists of one build with another's limit.
+_prime_tables: tuple[int, list[tuple[int, int, int]], list[int]] = (2, [], [])
 
 
-def _smallest_prime_factors(m: int) -> list[int]:
-    """The shared table, covering at least 0..m."""
-    global _spf
-    if len(_spf) <= m:
-        size = max(m + 1, 2 * len(_spf))
-        table = [0] * size
+def _primes_and_composites(m: int) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """The shared tables, with a limit above m."""
+    global _prime_tables
+    tables = _prime_tables
+    if tables[0] <= m:
+        size = max(m + 1, 2 * tables[0])
+        spf = [0] * size
         # a smaller p overwrites a larger one, so the least divisor stays
         for p in range(isqrt(size - 1), 1, -1):
-            table[p * p::p] = [p] * len(range(p * p, size, p))
-        _spf = table
-    return _spf
+            spf[p * p::p] = [p] * len(range(p * p, size, p))
+        composites = [(d, p, d // p) for d, p in enumerate(spf) if p]
+        primes = [d for d, p in enumerate(spf) if not p and d > 1]
+        tables = _prime_tables = (size, composites, primes)
+    return tables
 
 
-def _balanced_product(xs: list[int]) -> int:
-    """Product of xs, multiplied pairwise so that operands grow together."""
-    while len(xs) > 1:
-        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
-    return xs[0] if xs else 1
+def _halving_product(xs: list[int]) -> int:
+    """Product of xs, halved until at most 8 factors are left for math.prod.
+
+    Each half is multiplied apart, so the big operands grow together.
+    """
+    if len(xs) <= 8:
+        return prod(xs)
+    mid = len(xs) // 2
+    return _halving_product(xs[:mid]) * _halving_product(xs[mid:])
 
 
 def _shifted_dimension(l: list[int]) -> int:
@@ -167,7 +176,7 @@ def _shifted_dimension(l: list[int]) -> int:
     of an int A and of its byte mirror B, slot span + d of A * B holds the
     number of pairs at difference d.  The denominator is prod_{d<n} d^(n-d),
     so its counts are subtracted, each d is split into primes with a
-    smallest-prime-factor table, and the prime powers are multiplied back.
+    shared table of composites, and the prime powers are multiplied back.
     """
     n = len(l)
     span = l[0] - l[-1] if l else 0
@@ -189,18 +198,19 @@ def _shifted_dimension(l: list[int]) -> int:
         exps = [e + (c << 8 * byte) for e, c in zip(exps, counts[byte::width])]
     for d in range(1, n):
         exps[d] -= n - d
-    spf = _smallest_prime_factors(span)
-    for d in range(span, 3, -1):  # pass a composite's exponent on to its factors
-        p = spf[d]
-        if p and exps[d]:
+    _, composites, primes = _primes_and_composites(span)
+    # pass each composite's exponent on to its factors, largest first; (span + 1,)
+    # sorts before every triple of span + 1, so the slice ends at span
+    for d, p, q in reversed(composites[:bisect_right(composites, (span + 1,))]):
+        if exps[d]:
             exps[p] += exps[d]
-            exps[d // p] += exps[d]
+            exps[q] += exps[d]
     powers = []
-    for q in range(2, span + 1):
-        if not spf[q] and exps[q]:
+    for q in primes[:bisect_right(primes, span)]:
+        if exps[q]:
             assert exps[q] > 0
             powers.append(pow(q, exps[q]))
-    return _balanced_product(powers)
+    return _halving_product(powers)
 
 
 def format_partition(p: tuple[int, ...]) -> str:

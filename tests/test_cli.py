@@ -205,6 +205,82 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def _main_through_top_level_parser(argv):
+    """main as it reads argv with the top-level parser alone, then runs the command."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else 0
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"np-atlas: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+# per subcommand: a valid argv, and one that misses a required option or argument
+SUBCOMMAND_ARGVS = {
+    "cohomology": (["--shape", "fl(1;2)", "--weight", "[3],[0]"], ["--shape", "fl(1;2)"]),
+    "np": (["--spec", "sfl(6,5,3;12)", "--L", "3,2,1", "--p", "1"], ["--spec", "g2x", "--L", "1"]),
+    "np-threshold": (["--family", "C", "--ranks", "1,1", "--p", "1"], ["--ranks", "1", "--p", "1"]),
+    "verify": (["plethysm-dims"], ["--cases", "3"]),
+}
+
+
+@pytest.fixture
+def fresh_parser():
+    """A parser of this test's own, whose defaults the test may change."""
+    build_parser.cache_clear()
+    yield build_parser()
+    build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGVS))
+def test_main_hands_argv_to_the_subcommand_parser(capsys, fresh_parser, command):
+    sub = fresh_parser.commands[command]
+    real, seen = sub.get_default("fn"), []
+    sub.set_defaults(fn=lambda args: seen.append(args) or real(args))
+    valid, missing = SUBCOMMAND_ARGVS[command]
+    codes = []
+    for argv in ([command, *valid], [command, *missing], [command, "-h"]):
+        code = _main_through_top_level_parser(argv)
+        expected = capsys.readouterr()
+        assert run(capsys, *argv) == (code, expected.out, expected.err), argv
+        codes.append(code)
+    assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+    # the command got the values the top-level parser reads off the same argv
+    assert seen == [fresh_parser.parse_args([command, *valid])] * 2
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["no-such-command"], ["--p", "1"]])
+def test_main_leaves_other_argv_to_the_top_level_parser(capsys, argv):
+    code = _main_through_top_level_parser(argv)
+    expected = capsys.readouterr()
+    assert run(capsys, *argv) == (code, expected.out, expected.err)
+    assert code == (0 if argv == ["-h"] else EXIT_USAGE)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["cohomology", "--shape", "fl(1;2)", "--weight", "[0],[3]"]
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["np-atlas", *argv])
+    assert main() == code == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
+def test_unrecognized_argument_error_names_the_subcommand(capsys):
+    argv = ["cohomology", "--shape", "fl(1;2)", "--weight", "[3],[0]", "--extra"]
+    top_level = _main_through_top_level_parser(argv), capsys.readouterr()
+    assert top_level[1].err.startswith("usage: np-atlas [-h] ")
+    assert top_level[1].err.splitlines()[-1] == "np-atlas: error: unrecognized arguments: --extra"
+    # the same exit code and stdout; stderr gives the subcommand's usage instead
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (top_level[0], top_level[1].out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: np-atlas cohomology [-h] ")
+    assert re.match(r"np-atlas cohomology: error: unrecognized arguments: --extra$",
+                    err.splitlines()[-1])
+
+
 def test_byte_identical_output(capsys):
     args = ["np", "--spec", "sfl(6,5,3;12)", "--L", "3,2,1", "--p", "2"]
     main(list(args))

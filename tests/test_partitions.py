@@ -1,11 +1,12 @@
 import random
 import time
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from np_atlas import partitions
 from np_atlas.partitions import (
     _from_frobenius,
     conjugate,
@@ -143,7 +144,7 @@ def test_weyl_dimension_matches_pairwise_on_benchmark_weights():
 
 @st.composite
 def weight_entries(draw):
-    """n either side of the histogram path's crossover at n = 20, and spans
+    """n either side of the histogram path's crossover at n = 8, and spans
     of the shifted entries either side of its limit of one unit per pair."""
     n = draw(st.integers(0, 64))
     bound = draw(st.sampled_from((30, 1000, 10**6)))
@@ -163,6 +164,35 @@ def test_weyl_dimension_matches_pairwise_large():
     for n in (100, 200, 300):
         w = _distinct_dominant_weight(n, rng)
         assert weyl_dimension(w, n) == _weyl_dimension_pairwise(w, n)
+
+
+def _smallest_factor(d):
+    """Trial division: the least prime factor of d >= 2."""
+    return next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
+
+
+def test_prime_tables_grow_in_steps(monkeypatch):
+    # start from empty tables; monkeypatch restores the process's own after
+    monkeypatch.setattr(partitions, "_prime_tables", (2, [], []))
+    for span in (50, 600, 5000):
+        limit, composites, primes = partitions._primes_and_composites(span)
+        assert partitions._prime_tables == (limit, composites, primes)
+        assert limit > span
+        assert composites == sorted(composites) and primes == sorted(primes)
+        assert sorted([d for d, _, _ in composites] + primes) == list(range(2, limit))
+        for d, p, q in composites:
+            assert p == _smallest_factor(d) < d and q == d // p
+        assert all(_smallest_factor(q) == q for q in primes)
+    # n = 40 on the histogram path at shifted spans 139, 739 and 139: the
+    # tables are rebuilt between the first and second dimension only
+    monkeypatch.setattr(partitions, "_prime_tables", (2, [], []))
+    rng = random.Random(11)
+    limits = []
+    for top in (100, 700, 100):
+        w = tuple(sorted(rng.sample(range(1, top), 38) + [top, 0], reverse=True))
+        assert weyl_dimension(w, 40) == _weyl_dimension_pairwise(w, 40)
+        limits.append(partitions._prime_tables[0])
+    assert 139 < limits[0] <= 739 < limits[1] == limits[2]
 
 
 def wide_span_weight(n):
