@@ -10,29 +10,31 @@ sequence and the representation is read off from its descending sort.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import lt
+from typing import NamedTuple
 
 from .partitions import _shifted_dimension, check_int, check_ints, normalize, pad
 
 
-@dataclass(frozen=True)
-class BlockedWeight:
+class BlockedWeight(namedtuple("BlockedWeight", "blocks")):
     """One integer vector per quotient block; block i must be weakly decreasing."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    # the base _make skips __new__, and _replace and copy.replace call _make
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
+    def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
         try:
-            blocks = tuple([check_ints("weight entry", b) for b in self.blocks])
+            blocks = tuple([check_ints("weight entry", b) for b in blocks])
         except TypeError:
-            raise ValueError(f"blocks must come as a sequence, got {self.blocks!r}") from None
-        object.__setattr__(self, "blocks", blocks)
+            raise ValueError(f"blocks must come as a sequence, got {blocks!r}") from None
         for b in blocks:
             if any(map(lt, b, b[1:])):
                 raise ValueError(f"block not weakly decreasing: {b}")
             if not b:
                 raise ValueError("empty block")
+        return tuple.__new__(cls, (blocks,))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -46,8 +48,7 @@ class BlockedWeight:
         return tuple(x for b in self.blocks for x in b)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Either everything vanishes, or one nonzero group with its data."""
 
     vanishes: bool
@@ -102,8 +103,7 @@ def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
     return CohomologyResult(False, degree, dominant, _shifted_dimension(descending))
 
 
-@dataclass(frozen=True)
-class InversionBoundReport:
+class InversionBoundReport(NamedTuple):
     """Exact inversion data against the configuration-maximum upper bound.
 
     An exact count above the bound is kept, not refused: the bound-dominance

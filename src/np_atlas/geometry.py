@@ -9,10 +9,11 @@ quotient bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import comb
 from operator import le, sub
+from typing import NamedTuple
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
 from .partitions import check_int, check_ints, pad
@@ -49,21 +50,21 @@ G2_TWISTED = (Family.G2_X, Family.G2_P)
 G2_DIMS = {Family.G2_X: (2,), Family.G2_P: (2, 1), Family.G2_Q: (1,)}
 
 
-@dataclass(frozen=True)
-class FlagShape:
+class FlagShape(namedtuple("FlagShape", "n dims")):
     """Ambient flag variety: strictly decreasing subspace dimensions inside n-space."""
 
-    n: int
-    dims: tuple[int, ...]
+    __slots__ = ()
+    # the base _make skips __new__, and _replace and copy.replace call _make
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        check_int("n", self.n)
-        dims = check_ints("dim", self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __new__(cls, n: int, dims: tuple[int, ...]):
+        check_int("n", n)
+        dims = check_ints("dim", dims)
         if not dims or any(map(le, dims, dims[1:])):
             raise ValueError(f"dims must be strictly decreasing and non-empty: {dims}")
-        if dims[-1] < 1 or dims[0] >= self.n:
-            raise ValueError(f"dims out of range for n={self.n}: {dims}")
+        if dims[-1] < 1 or dims[0] >= n:
+            raise ValueError(f"dims out of range for n={n}: {dims}")
+        return tuple.__new__(cls, (n, dims))
 
     @property
     def k(self) -> int:
@@ -93,27 +94,29 @@ def _orthogonal_family(shape: FlagShape) -> Family:
     return Family.D_SPINOR
 
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(namedtuple("VarietySpec", "family shape")):
     """A catalog entry: family tag and ambient shape; the family fixes the defining bundle."""
 
-    family: Family
-    shape: FlagShape
+    __slots__ = ()
+    # the base _make skips __new__, and _replace and copy.replace call _make
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        fam = self.family
-        if not isinstance(fam, Family):
-            raise ValueError(f"family must be a Family, got {fam!r}")
-        n, n1 = self.shape.n, self.shape.dims[0]
-        if fam is Family.C and n % 2:
+    def __new__(cls, family: Family, shape: FlagShape):
+        if not isinstance(family, Family):
+            raise ValueError(f"family must be a Family, got {family!r}")
+        if not isinstance(shape, FlagShape):
+            raise ValueError(f"shape must be a FlagShape, got {shape!r}")
+        n, n1 = shape.n, shape.dims[0]
+        if family is Family.C and n % 2:
             raise ValueError("type C needs even ambient dimension")
-        if (fam is Family.C or fam in _ORTHOGONAL) and n1 > n // 2:
+        if (family is Family.C or family in _ORTHOGONAL) and n1 > n // 2:
             raise ValueError("isotropic subspaces cannot exceed half the ambient dimension")
-        if fam in _ORTHOGONAL and fam is not _orthogonal_family(self.shape):
+        if family in _ORTHOGONAL and family is not _orthogonal_family(shape):
             raise ValueError(f"isotropic {n1}-dimensional subspaces of {n}-space make "
-                             f"{_orthogonal_family(self.shape).value}, not {fam.value}")
-        if fam in G2_DIMS and (n != 7 or self.shape.dims != G2_DIMS[fam]):
-            raise ValueError(f"{fam.value} lives on Fl{G2_DIMS[fam]} in 7-space")
+                             f"{_orthogonal_family(shape).value}, not {family.value}")
+        if family in G2_DIMS and (n != 7 or shape.dims != G2_DIMS[family]):
+            raise ValueError(f"{family.value} lives on Fl{G2_DIMS[family]} in 7-space")
+        return tuple.__new__(cls, (family, shape))
 
 
 AMPLE = "ample"
@@ -188,8 +191,7 @@ def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int,
     return BlockedWeight((block1, (a[1] + x,), (y,)))
 
 
-@dataclass(frozen=True)
-class SurjectivityEntry:
+class SurjectivityEntry(NamedTuple):
     """One required vanishing and the cohomology actually found."""
 
     degree_required: int
@@ -200,8 +202,7 @@ class SurjectivityEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
+class SurjectivityReport(NamedTuple):
     ok: bool
     entries: tuple[SurjectivityEntry, ...]
 

@@ -23,8 +23,8 @@ is certified.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bott import bbw_cohomology, flag_dimension
 from .geometry import (
@@ -55,8 +55,7 @@ TYPE_BD = "BD"
 _SHIFT = {TYPE_C: 0, TYPE_BD: 1}
 
 
-@dataclass(frozen=True)
-class SchurComplexTerm:
+class SchurComplexTerm(NamedTuple):
     """One homological term of the resolution of a filtration quotient."""
 
     level: int
@@ -117,8 +116,7 @@ def _min_square_configs(ranks: tuple[int, ...]) -> list[tuple[int, tuple[int, ..
     return out
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Exact rational gap threshold with a maximizing configuration."""
 
     value: Fraction
@@ -162,8 +160,7 @@ def _threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult:
     return ThresholdResult(best[2], best[3], tuple(table))
 
 
-@dataclass(frozen=True)
-class NpCertificate:
+class NpCertificate(NamedTuple):
     """One-sided syzygy certificate: not-certified never asserts failure."""
 
     query: dict

@@ -3,11 +3,12 @@ and a bare int where it takes a sequence.
 
 CALLS holds one valid call per callable in np_atlas.__all__.  The valid call
 runs first, so any cache is warm; then each int leaf of its arguments (inside
-tuples, not inside built objects, which have calls of their own) is replaced
-by x + 0.5, by float(x) and, where x is 1, by True, and every such call must
-raise ValueError.  In the same way each tuple argument, and each tuple inside
-one, is replaced by the int 3.  A new exported callable fails the test until
-it has an entry.
+plain tuples, not inside built objects, which have calls of their own) is
+replaced by x + 0.5, by float(x) and, where x is 1, by True, and every such
+call must raise ValueError.  In the same way each plain tuple argument, and
+each plain tuple inside one, is replaced by the int 3.  The descent tests
+type(value) is tuple, because the library's records are tuple subclasses.
+A new exported callable fails the test until it has an entry.
 """
 
 import pytest
@@ -68,7 +69,7 @@ def _variants(value):
     """Copies of nested tuples with one int leaf replaced by a float or a bool."""
     if type(value) is int:
         yield from [value + 0.5, float(value)] + ([True] if value == 1 else [])
-    elif isinstance(value, tuple):
+    elif type(value) is tuple:
         for i, item in enumerate(value):
             for bad in _variants(item):
                 yield value[:i] + (bad,) + value[i + 1:]
@@ -77,7 +78,7 @@ def _variants(value):
 def _bare_ints(args):
     """Copies of an argument tuple with one tuple inside it replaced by 3."""
     for i, item in enumerate(args):
-        if isinstance(item, tuple):
+        if type(item) is tuple:
             yield args[:i] + (3,) + args[i + 1:]
             for bad in _bare_ints(item):
                 yield args[:i] + (bad,) + args[i + 1:]

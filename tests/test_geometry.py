@@ -1,8 +1,10 @@
+import copy
+import pickle
 from math import comb
 
 import pytest
 
-from np_atlas.bott import bbw_cohomology, flag_dimension, inversion_bound
+from np_atlas.bott import BlockedWeight, bbw_cohomology, flag_dimension, inversion_bound
 from np_atlas.geometry import (
     AMPLE,
     Family,
@@ -114,6 +116,50 @@ def test_variety_spec_rejects_non_family():
     for family in ("C", None, 2):
         with pytest.raises(ValueError, match="family must be a Family"):
             VarietySpec(family, FlagShape(6, (2,)))
+
+
+def test_variety_spec_rejects_a_shape_that_is_not_a_flag_shape():
+    for shape in ((6, (3, 1)), "fl(3,1;6)", None):
+        with pytest.raises(ValueError, match="shape must be a FlagShape"):
+            VarietySpec(Family.C, shape)
+
+
+# each validating record: one valid instance, one field, a bad value for it and
+# the message its constructor refuses that value with
+VALIDATING_RECORDS = [
+    (FlagShape(6, (3, 1)), "dims", (3.0, 1), "dim must be an int"),
+    (VarietySpec(Family.C, FlagShape(6, (3, 1))), "family", "C", "family must be a Family"),
+    (BlockedWeight(((2, 1), (0,))), "blocks", ((1, 2),), "not weakly decreasing"),
+]
+
+
+@pytest.mark.parametrize("record, field, bad, message", VALIDATING_RECORDS,
+                         ids=[type(case[0]).__name__ for case in VALIDATING_RECORDS])
+def test_validating_records_check_every_construction_path(record, field, bad, message):
+    cls = type(record)
+    values = tuple(bad if name == field else v for name, v in zip(cls._fields, record))
+    forged = tuple.__new__(cls, values)  # a bad instance, built past the checks
+    with pytest.raises(ValueError, match=message):
+        cls._make(values)
+    with pytest.raises(ValueError, match=message):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(pickle.dumps(forged))
+    with pytest.raises(ValueError, match=message):
+        copy.copy(forged)
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        with pytest.raises(ValueError, match=message):
+            copy.replace(record, **{field: bad})
+    # the good paths keep the type and the value
+    assert cls(**record._asdict()) == record
+    for rebuilt in (cls._make(record), record._replace(), pickle.loads(pickle.dumps(record)),
+                    copy.copy(record)):
+        assert type(rebuilt) is cls and rebuilt == record
+    with pytest.raises(AttributeError):
+        setattr(record, field, bad)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")
 
 
 def test_variety_spec_orthogonal_family_follows_shape():
