@@ -136,13 +136,17 @@ def positivity(a: tuple[int, ...]) -> str:
     return AMPLE if gap > 0 else NEF_NOT_AMPLE if gap == 0 else NOT_NEF
 
 
-def decompose_ample(a: tuple[int, ...]) -> int:
-    """Largest l with L = H^l (x) M, H ample and M nef."""
-    a = check_ints("line-bundle coefficient", a)
+def _ample_gap(a: tuple[int, ...]) -> int:
+    """decompose_ample of a checked int coefficient tuple."""
     gap = _least_gap(a)
     if gap <= 0:
         raise ValueError(f"line bundle {a} is not ample")
     return gap
+
+
+def decompose_ample(a: tuple[int, ...]) -> int:
+    """Largest l with L = H^l (x) M, H ample and M nef."""
+    return _ample_gap(check_ints("line-bundle coefficient", a))
 
 
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -215,8 +219,7 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     degree.  The trace lists every Bott-Borel-Weil evaluation performed.
     """
     a = check_line_bundle(spec.shape, a)
-    if positivity(a) != AMPLE:
-        raise ValueError(f"line bundle {a} is not ample")
+    decompose_ample(a)  # refuses a bundle that is not ample
 
     if spec.family in G2_TWISTED:
         rows = ((j, _g2_column(j), _g2_column(j), 1, g2_koszul_twist_weight(spec, a, j))

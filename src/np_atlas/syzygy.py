@@ -6,14 +6,17 @@ the shift is 0 in the symplectic case (wedge^2) and 1 in the orthogonal case
 (S^2).  The gap l of the queried bundle certifies (N_p) exactly when l is at
 least the threshold.  Each row is an integer numerator over 2s and comparisons
 cross-multiply integers, so the arithmetic stays exact and never uses floats.
-A process computes each threshold once per (family, ranks, p) and reuses it
-for the certificates that ask for it again.  One clause rule, read with the
-same shift, names the clause of a certified C or BD query, again by
-cross-multiplied integer tests.  A certificate validates its
-input once, at its own boundary: p and the line bundle are checked there,
-and the tail ranks come from a FlagShape, whose checks already make them
-positive ints, so it reads the cached threshold without np_threshold's
-checks of p and the ranks.
+A process builds each distinct row value once, from a bounded cache keyed by
+its integer numerator and denominator, and each threshold once per
+(family, ranks, p), together with its certificate trace: the rows within 1 of
+it, as all-int tuples.  The certificates that ask for that threshold read both
+from the one cached entry, so the two sides of a gap share one trace.  One
+clause rule, read with the same shift, names the clause of a certified C or BD
+query, again by cross-multiplied integer tests.  A certificate validates its
+input once, at its own boundary: p and the line bundle are checked there, and
+the gap is read off the checked coefficients; the tail ranks come from a
+FlagShape, whose checks already make them positive ints, so it reads the
+cached threshold without np_threshold's checks of p and the ranks.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
 sweep that evaluates each distinct Koszul twist once.  One builder makes every
 certificate, of type A, B/C/D or G2: it names a clause exactly when the query
@@ -34,8 +37,8 @@ from .geometry import (
     FlagShape,
     NEF_NOT_AMPLE,
     VarietySpec,
+    _ample_gap,
     check_line_bundle,
-    decompose_ample,
     g2_koszul_twist_weight,
     positivity,
     quotient_ranks,
@@ -137,27 +140,43 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     ranks = check_ints("rank", ranks)
     if not ranks or min(ranks) < 1:
         raise ValueError("ranks must be positive")
-    return _threshold(family, ranks, p)
+    return _threshold(family, ranks, p)[0]
+
+
+# Row values repeat across thresholds: the 15,600 (family, ranks, p) entries
+# of the benchmark's threshold-sweep universe have 624 distinct ones.  The
+# keys are ints computed behind the callers' checks.
+@functools.lru_cache(maxsize=1024)
+def _row_value(num: int, den: int) -> Fraction:
+    return Fraction(num, den)
 
 
 # Behind np_threshold's checks, or np_certify's p check and a FlagShape's tail
 # ranks, so 2.0 and True never reach the cache, where they would hash like 2
 # and 1.  A certificate asks for the threshold its caller has usually just
-# computed; the result is frozen, so sharing it is safe.
+# computed; every part of the entry is immutable, so sharing it is safe.
 @functools.lru_cache(maxsize=256)
-def _threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult:
+def _threshold(family: str, ranks: tuple[int, ...], p: int) -> tuple[ThresholdResult, tuple]:
+    """The threshold and its certificate trace: the rows whose value is above
+    the threshold minus 1, as (s, config, num, den) in lowest terms."""
     shift = _SHIFT[family]
-    table = []
-    best = None  # (num, den, value, config) of the first maximal row
+    per_s = []
+    nums = []
+    best = None  # the first maximal row, of value thr_num / thr_den
     for s, config, sq in _min_square_configs(ranks):
         # (p+1)/s + (s-1)/2 + shift - sq/s over the common denominator 2s
         num, den = 2 * (p + 1) + s * (s - 1 + 2 * shift) - 2 * sq, 2 * s
-        value = Fraction(num, den)
-        table.append((s, config, value))
-        if best is None or num * best[1] > best[0] * den:
-            best = (num, den, value, config)
+        row = (s, config, _row_value(num, den))
+        per_s.append(row)
+        nums.append(num)
+        if best is None or num * thr_den > thr_num * den:
+            best, thr_num, thr_den = row, num, den
     assert best is not None
-    return ThresholdResult(best[2], best[3], tuple(table))
+    below = thr_num - thr_den  # value > thr - 1, cross-multiplied
+    trace = tuple((s, config, value.numerator, value.denominator)
+                  for (s, config, value), num in zip(per_s, nums)
+                  if num * thr_den > below * 2 * s)
+    return ThresholdResult(best[2], best[1], tuple(per_s)), trace
 
 
 class NpCertificate(NamedTuple):
@@ -185,7 +204,7 @@ class NpCertificate(NamedTuple):
                 "den": self.threshold.denominator,
             },
             "witness_config": list(self.witness_config),
-            "trace": [list(t) for t in self.trace],
+            "trace": list(self.trace),
         }
 
 
@@ -230,25 +249,18 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     a = check_line_bundle(spec.shape, a)
-    l = decompose_ample(a)
+    l = _ample_gap(a)
     if spec.family is Family.A:
         return _certificate(spec, a, l, p, "A:gap-at-least-p" if l >= p else None,
                             Fraction(p), (), ())
 
     # p is checked above, and a FlagShape's tail ranks are positive ints
     family = TYPE_C if spec.family is Family.C else TYPE_BD
-    thr = _threshold(family, quotient_ranks(spec.shape)[1:], p)
-    thr_num, thr_den = thr.value.numerator, thr.value.denominator
-    # rows within 1 of the threshold, value > thr - 1, cross-multiplied
-    below = thr_num - thr_den
-    trace = []
-    for s, config, value in thr.per_s:
-        num, den = value.numerator, value.denominator
-        if num * thr_den > below * den:
-            trace.append((s, list(config), num, den))
+    thr, trace = _threshold(family, quotient_ranks(spec.shape)[1:], p)
+    value = thr.value
     clause = (_clause_for(family, spec.shape.dims[0], spec.shape.k, l, p)
-              if l * thr_den >= thr_num else None)
-    return _certificate(spec, a, l, p, clause, thr.value, thr.witness_config, tuple(trace))
+              if l * value.denominator >= value.numerator else None)
+    return _certificate(spec, a, l, p, clause, value, thr.witness_config, trace)
 
 
 def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
@@ -267,7 +279,7 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     if spec.family not in G2_TWISTED:
         raise ValueError("exhaustive certification covers only the two G2 varieties")
     a = check_line_bundle(spec.shape, a)
-    l = decompose_ample(a)
+    l = _ample_gap(a)
 
     dim = flag_dimension(quotient_ranks(spec.shape))
     g2x = spec.family is Family.G2_X

@@ -306,7 +306,7 @@ def test_restriction_surjectivity_small_cases():
     assert report.ok
     report = restriction_surjectivity_check(parse_variety("ofl(2;7)"), (1,))
     assert report.ok
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"line bundle \(0,\) is not ample"):
         restriction_surjectivity_check(parse_variety("sfl(2;6)"), (0,))
     with pytest.raises(ValueError, match="A has no wedge- or sym-square defining bundle"):
         restriction_surjectivity_check(parse_variety("fl(2;6)"), (1,))

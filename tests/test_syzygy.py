@@ -274,6 +274,46 @@ def test_np_certify_monotone_in_gap(query):
         assert np_certify(spec, suffix_sums([g + 1 for g in gaps]), p).certified
 
 
+@given(bcd_query(), st.integers(1, 6))
+def test_bcd_verdicts_are_monotone(query, l):
+    # L = l (k, k-1, ..., 1) has gap l; C never certifies below l = p, and B/D
+    # never below l = p + 1, the threshold's s = 1 row
+    spec, _, p = query
+    k = spec.shape.k
+
+    def certified(l, p):
+        return np_certify(spec, tuple(l * (k - i) for i in range(k)), p).certified
+
+    if certified(l, p):
+        assert l >= p + (spec.family is not Family.C)
+        assert certified(l + 1, p)
+        if p >= 2:
+            assert certified(l, p - 1)
+
+
+def test_certificate_trace_is_the_rows_within_one_of_the_threshold():
+    """The trace rule, restated with Fraction arithmetic, read cold (both caches
+    cleared, the certificate first) and warm."""
+    for family, token, odd in (("C", "sfl", 0), ("BD", "ofl", 1)):
+        for length in range(1, 4):
+            for ranks in product(range(1, 4), repeat=length):
+                dims = suffix_sums(ranks)
+                spec = parse_variety(f"{token}({','.join(map(str, dims))};{2 * dims[0] + odd})")
+                a = tuple(range(len(dims), 0, -1))
+                for p in range(1, 11):
+                    syzygy._threshold.cache_clear()
+                    syzygy._row_value.cache_clear()
+                    for _ in ("cold", "warm"):
+                        trace = np_certify(spec, a, p).trace
+                        thr = np_threshold(family, ranks, p)
+                        assert list(trace) == [
+                            (s, c, v.numerator, v.denominator)
+                            for s, c, v in thr.per_s if v > thr.value - 1], (family, ranks, p)
+                        for row in trace:
+                            assert type(row) is tuple and type(row[1]) is tuple
+                            assert all(type(x) is int for x in (row[0], *row[1], *row[2:]))
+
+
 @st.composite
 def catalog_query(draw):
     """A type A, C, B/D, G2_X or G2_P catalog variety, an ample chain of k - 1,
@@ -338,7 +378,7 @@ def test_g2_certify_examples():
     assert cert.trace  # exhaustive sweep is always recorded
     with pytest.raises(ValueError):
         g2_np_certify(gx, (1,), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"line bundle \(1, 1\) is not ample"):
         g2_np_certify(gp, (1, 1), 1)
     with pytest.raises(ValueError):
         g2_np_certify(parse_variety("sfl(2;6)"), (1,), 1)
