@@ -35,14 +35,14 @@ class Family(Enum):
 
 _ORTHOGONAL = (Family.B, Family.D_SUB, Family.D_SPINOR, Family.D_MIXED)
 
-# The defining bundle of each family's embedding into its ambient flag.  C is
-# cut out by wedge^2 and the orthogonal families and G2_Q by S^2 of the
-# tautological sub-bundle of rank n1; an entry is the generator of the
-# square's wedge powers and the shift in its rank comb(n1 + shift, 2).
-_DEFINING_SQUARE = {
-    Family.C: (wedge_of_wedge2, 0),
-    **dict.fromkeys(_ORTHOGONAL + (Family.G2_Q,), (wedge_of_sym2, 1)),
-}
+# The two defining squares of the tautological sub-bundle of rank n1, by the
+# family name np_threshold takes: wedge^2 ("C") and S^2 ("BD").  An entry is
+# the generator of the square's wedge powers and the shift in its rank
+# comb(n1 + shift, 2), the same shift that lifts a BD threshold row over C's.
+_SQUARES = {"C": (wedge_of_wedge2, 0), "BD": (wedge_of_sym2, 1)}
+# the square that cuts out each family: C by wedge^2, the orthogonal families
+# and G2_Q by S^2
+_DEFINING_SQUARE = {Family.C: "C", **dict.fromkeys(_ORTHOGONAL + (Family.G2_Q,), "BD")}
 # the two G2 varieties cut out by the G2 Koszul twist; A has no defining bundle
 G2_TWISTED = (Family.G2_X, Family.G2_P)
 
@@ -227,7 +227,7 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     else:
         if spec.family not in _DEFINING_SQUARE:
             raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")
-        wedges, shift = _DEFINING_SQUARE[spec.family]
+        wedges, shift = _SQUARES[_DEFINING_SQUARE[spec.family]]
         n1 = spec.shape.dims[0]
         ranks = quotient_ranks(spec.shape)
         # the pushforward of the tail twist to the Grassmannian of n1-planes: a is

@@ -9,6 +9,7 @@ bundles and canonical twists can be handled uniformly.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import factorial, isqrt, prod
 from operator import lt
 from typing import Iterable
@@ -43,13 +44,7 @@ def normalize(parts: Iterable[int]) -> tuple[int, ...]:
     Every entry must be exactly an int: floats and bools are refused rather
     than truncated.
     """
-    try:
-        p = tuple(parts)
-    except TypeError:
-        raise ValueError(f"a partition must come as a sequence, got {parts!r}") from None
-    for x in p:
-        if type(x) is not int:
-            raise ValueError(f"partition entries must be ints: {p}")
+    p = check_ints("partition entry", parts)
     if any(map(lt, p, p[1:])):
         raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
@@ -133,27 +128,19 @@ def weyl_dimension(w: tuple[int, ...], n: int) -> int:
 _HISTOGRAM_MIN_N = 8
 _HISTOGRAM_SPAN_PER_PAIR = 1
 
-# The primes and composites below a limit, shared by every call: the
-# composites as ascending (d, p, d // p) with p the smallest prime factor of d.
-# A span past the limit builds all three afresh and publishes them in one
-# assignment, so no thread pairs the lists of one build with another's limit.
-_prime_tables: tuple[int, list[tuple[int, int, int]], list[int]] = (2, [], [])
-
-
-def _primes_and_composites(m: int) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """The shared tables, with a limit above m."""
-    global _prime_tables
-    tables = _prime_tables
-    if tables[0] <= m:
-        size = max(m + 1, 2 * tables[0])
-        spf = [0] * size
-        # a smaller p overwrites a larger one, so the least divisor stays
-        for p in range(isqrt(size - 1), 1, -1):
-            spf[p * p::p] = [p] * len(range(p * p, size, p))
-        composites = [(d, p, d // p) for d, p in enumerate(spf) if p]
-        primes = [d for d, p in enumerate(spf) if not p and d > 1]
-        tables = _prime_tables = (size, composites, primes)
-    return tables
+# The primes and composites below size, shared by every call and not to be
+# mutated: the composites as ascending (d, p, d // p) with p the smallest prime
+# factor of d.  Sizes are powers of two, so the tables kept add up to less than
+# twice the largest.
+@lru_cache(maxsize=None)
+def _factor_tables(size: int) -> tuple[list[tuple[int, int, int]], list[int]]:
+    spf = [0] * size
+    # a smaller p overwrites a larger one, so the least divisor stays
+    for p in range(isqrt(size - 1), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, size, p))
+    composites = [(d, p, d // p) for d, p in enumerate(spf) if p]
+    primes = [d for d, p in enumerate(spf) if not p and d > 1]
+    return composites, primes
 
 
 def _halving_product(xs: list[int]) -> int:
@@ -198,7 +185,7 @@ def _shifted_dimension(l: list[int]) -> int:
         exps = [e + (c << 8 * byte) for e, c in zip(exps, counts[byte::width])]
     for d in range(1, n):
         exps[d] -= n - d
-    _, composites, primes = _primes_and_composites(span)
+    composites, primes = _factor_tables(1 << span.bit_length())  # a size above span
     # pass each composite's exponent on to its factors, largest first; (span + 1,)
     # sorts before every triple of span + 1, so the slice ends at span
     for d, p, q in reversed(composites[:bisect_right(composites, (span + 1,))]):

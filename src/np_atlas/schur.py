@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .partitions import check_int, contains, normalize, pad
+from .partitions import check_int, check_ints, contains, normalize, pad
 
 
 class SchurSummand(NamedTuple):
@@ -187,8 +187,8 @@ def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
     over (nu_1^len(mu)), so one walk over that shape finds every summand.
     """
     mu, nu = normalize(mu), normalize(nu)
-    if type(max_length) is not int or max_length < 0:
-        raise ValueError(f"max_length must be a non-negative int, got {max_length!r}")
+    if check_int("max_length", max_length) < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
     shift = nu[0] if nu else 0
     lam = tuple(m + shift for m in mu) + nu
     fillings = _lr_fillings(lam, (shift,) * len(mu), max_length=max_length)
@@ -287,12 +287,9 @@ def filtration_quotients(alpha: tuple[int, ...],
     per block, with the multiplicity of S^alpha in their tensor product.
     """
     alpha = normalize(alpha)
-    try:
-        ranks = tuple(ranks)
-    except TypeError:
-        raise ValueError(f"block ranks must come as a sequence, got {ranks!r}") from None
-    if any(type(r) is not int or r < 0 for r in ranks):
-        raise ValueError(f"block ranks must be non-negative ints: {ranks}")
+    ranks = check_ints("block rank", ranks)
+    if ranks and min(ranks) < 0:
+        raise ValueError(f"block ranks must be non-negative, got {ranks}")
     if len(alpha) > sum(ranks):
         raise ValueError(f"partition {alpha} too long for total rank {sum(ranks)}")
     return sorted(SchurSummand(shapes, c) for shapes, c in _mult_in_product(alpha, ranks).items())

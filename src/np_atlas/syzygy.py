@@ -2,10 +2,13 @@
 
 The B/C/D certifier evaluates a closed-form rational threshold: the maximum,
 over block configurations, of (p+1)/s + (s-1)/2 + shift - sum(s_j^2)/s, where
-the shift is 0 in the symplectic case (wedge^2) and 1 in the orthogonal case
-(S^2).  The gap l of the queried bundle certifies (N_p) exactly when l is at
-least the threshold.  Each row is an integer numerator over 2s and comparisons
-cross-multiply integers, so the arithmetic stays exact and never uses floats.
+the shift is 0 in the symplectic case (wedge^2, of rank comb(n1, 2)) and 1 in
+the orthogonal case (S^2, of rank comb(n1 + 1, 2)).  Both come from geometry:
+one table names each square "C" or "BD" with its shift, and one maps each
+catalog family to its square's name.  The gap l of the queried bundle
+certifies (N_p) exactly when l is at least the threshold.  Each row is an
+integer numerator over 2s and comparisons cross-multiply integers, so the
+arithmetic stays exact and never uses floats.
 A process builds each distinct row value once, from a bounded cache keyed by
 its integer numerator and denominator, and each threshold once per
 (family, ranks, p), together with its certificate trace: the rows within 1 of
@@ -37,6 +40,8 @@ from .geometry import (
     FlagShape,
     NEF_NOT_AMPLE,
     VarietySpec,
+    _DEFINING_SQUARE,
+    _SQUARES,
     _ample_gap,
     check_line_bundle,
     g2_koszul_twist_weight,
@@ -50,12 +55,6 @@ CERTIFIED = "certified"
 NOT_CERTIFIED = "not_certified"
 
 SCHEMA_VERSION = 1
-
-TYPE_C = "C"
-TYPE_BD = "BD"
-# S^2 (BD) against wedge^2 (C): a BD threshold row is the C row plus one, and
-# the clause bounds read p + shift for p and n1 - 3 + 2*shift for n1 - 3
-_SHIFT = {TYPE_C: 0, TYPE_BD: 1}
 
 
 class SchurComplexTerm(NamedTuple):
@@ -133,7 +132,7 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     family is "C" (symplectic) or "BD" (orthogonal).  The returned value is
     the exact maximum over all configurations 0 <= s_i <= r_i with s >= 1.
     """
-    if family not in _SHIFT:
+    if family not in _SQUARES:
         raise ValueError(f"unknown family {family!r}")
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
@@ -159,7 +158,7 @@ def _row_value(num: int, den: int) -> Fraction:
 def _threshold(family: str, ranks: tuple[int, ...], p: int) -> tuple[ThresholdResult, tuple]:
     """The threshold and its certificate trace: the rows whose value is above
     the threshold minus 1, as (s, config, num, den) in lowest terms."""
-    shift = _SHIFT[family]
+    shift = _SQUARES[family][1]
     per_s = []
     nums = []
     best = None  # the first maximal row, of value thr_num / thr_den
@@ -217,7 +216,7 @@ def _clause_for(family: str, n1: int, k: int, l: int, p: int) -> str:
     l >= (p+1)/n1 + (n1-3+2*shift)/2 are compared multiplied out by 2 and by
     2*n1 (n1 >= 1), so no Fraction is built.
     """
-    shift = _SHIFT[family]
+    shift = _SQUARES[family][1]
     if k <= 2:
         return f"{family}:pic-rank-le-2"
     if 2 * (p + shift) >= n1 - 2:
@@ -255,7 +254,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
                             Fraction(p), (), ())
 
     # p is checked above, and a FlagShape's tail ranks are positive ints
-    family = TYPE_C if spec.family is Family.C else TYPE_BD
+    family = _DEFINING_SQUARE[spec.family]
     thr, trace = _threshold(family, quotient_ranks(spec.shape)[1:], p)
     value = thr.value
     clause = (_clause_for(family, spec.shape.dims[0], spec.shape.k, l, p)

@@ -29,7 +29,7 @@ from .geometry import (
 from .partitions import check_int, pad, weyl_dimension
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import character_product, partitions_of, schur_character, tensor_decompose
-from .syzygy import TYPE_BD, TYPE_C, np_threshold
+from .syzygy import np_threshold
 
 DEFAULT_SEED = 7
 
@@ -209,7 +209,7 @@ def suite_lr_oracle(max_weight: int = 4, max_vars: int = 3) -> dict:
 
 def _threshold_expression(family: str, p: int, s: int, sq: int) -> Fraction:
     """(p+1)/s + (s-1)/2 - sq/s for C, with (s+1)/2 for BD; sq is sum(s_j^2)."""
-    half = Fraction(s - 1 if family == TYPE_C else s + 1, 2)
+    half = Fraction(s - 1 if family == "C" else s + 1, 2)
     return Fraction(p + 1, s) + half - Fraction(sq, s)
 
 
@@ -231,7 +231,7 @@ def suite_threshold_oracle() -> dict:
             for c in configs:
                 s, sq = sum(c), sum(x * x for x in c)
                 min_sq[s] = min(sq, min_sq.get(s, sq))
-            for family in (TYPE_C, TYPE_BD):
+            for family in ("C", "BD"):
                 for p in range(1, 11):
                     best = max(_threshold_expression(family, p, s, sq)
                                for s, sq in min_sq.items())

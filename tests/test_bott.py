@@ -149,6 +149,17 @@ def test_inversion_bound_gap_hypothesis():
         inversion_bound(((),), (1, 1), (0,), 0)
 
 
+def test_inversion_bound_shape_errors():
+    # one partition per tail block and one coefficient per block but the last
+    with pytest.raises(ValueError, match="block count mismatch"):
+        inversion_bound(((1,),), (1, 1, 1), (3, 1), 1)
+    with pytest.raises(ValueError, match="block count mismatch"):
+        inversion_bound(((1,), ()), (1, 1, 1), (3,), 1)
+    # a partition longer than its block's rank
+    with pytest.raises(ValueError, match=r"partition \(1, 1\) longer than ambient length 1"):
+        inversion_bound(((1, 1),), (1, 1), (1,), 1)
+
+
 def test_inversion_bound_vanishing_instance():
     # alpha chosen so the shifted sequence repeats
     report = inversion_bound(((2,),), (1, 1), (1,), 1)

@@ -95,6 +95,16 @@ def test_cohomology_parse_error(capsys):
         assert (code, out) == (EXIT_OK, expected), weight
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--shape", "fl(1;2)", "--weight", "[1],[ ]"], "empty weight block '[ ]'"),
+    (["cohomology", "--shape", "fl(1;2)", "--weight", "[1],[x]"], "bad integer in weight block '[x]'"),
+    (["np", "--spec", "g2p", "--L", "2,x", "--p", "1"], "expected comma-separated integers, got '2,x'"),
+])
+def test_block_and_integer_list_parse_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"np-atlas: {message}\n")
+
+
 def test_np_certified(capsys):
     code, out, _ = run(capsys, "np", "--spec", "sfl(6,5,3;12)", "--L", "3,2,1", "--p", "1")
     assert code == EXIT_OK

@@ -195,6 +195,10 @@ def test_parse_variety_catalog():
         parse_variety("xfl(1;2)")
     with pytest.raises(ValueError):
         parse_variety("fl(1,2)")
+    with pytest.raises(ValueError, match=r"expected 'sfl\(n1,...,nk; n\)', got 'sfl 2;6'"):
+        parse_variety("sfl 2;6")
+    with pytest.raises(ValueError, match=r"bad integer token in shape 'ofl\(2,x;7\)'"):
+        parse_variety("ofl(2,x;7)")
 
 
 def test_parse_shape():
@@ -293,6 +297,9 @@ def test_g2_koszul_twist_weight():
         g2_koszul_twist_weight(gp, (3, 1), 1, (1, 2, 3))
     with pytest.raises(ValueError, match="tail must be an int"):
         g2_koszul_twist_weight(gx, (4,), 2, (1, 2.0))
+    for j in (-1, 6):
+        with pytest.raises(ValueError, match="G2 Koszul terms exist for 0 <= j <= 5"):
+            g2_koszul_twist_weight(gx, (4,), j)
     for token in SQUARES:
         spec = parse_variety(token)
         if spec.family in (Family.G2_X, Family.G2_P):

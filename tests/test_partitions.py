@@ -65,7 +65,7 @@ def test_normalize_rejects_bad_input():
 
 def test_normalize_rejects_non_int_entries():
     for parts in [(1.9,), (True, 0.5), (2, 1.0), ("1",)]:
-        with pytest.raises(ValueError, match="partition entries must be ints"):
+        with pytest.raises(ValueError, match="partition entry must be an int"):
             normalize(parts)
 
 
@@ -89,6 +89,11 @@ def test_weyl_dimension_rejects_non_int_entries():
 def test_weyl_dimension_length_mismatch():
     with pytest.raises(ValueError):
         weyl_dimension((1, 0), 3)
+
+
+def test_weyl_dimension_rejects_an_increasing_weight():
+    with pytest.raises(ValueError, match=r"weight not weakly decreasing: \(0, 1\)"):
+        weyl_dimension((0, 1), 2)
 
 
 def test_weyl_dimension_counts_tableaux():
@@ -171,28 +176,28 @@ def _smallest_factor(d):
     return next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
 
 
-def test_prime_tables_grow_in_steps(monkeypatch):
-    # start from empty tables; monkeypatch restores the process's own after
-    monkeypatch.setattr(partitions, "_prime_tables", (2, [], []))
-    for span in (50, 600, 5000):
-        limit, composites, primes = partitions._primes_and_composites(span)
-        assert partitions._prime_tables == (limit, composites, primes)
-        assert limit > span
+def test_prime_tables_grow_in_steps():
+    for size in (64, 1024, 8192):
+        composites, primes = partitions._factor_tables(size)
         assert composites == sorted(composites) and primes == sorted(primes)
-        assert sorted([d for d, _, _ in composites] + primes) == list(range(2, limit))
+        assert sorted([d for d, _, _ in composites] + primes) == list(range(2, size))
         for d, p, q in composites:
             assert p == _smallest_factor(d) < d and q == d // p
         assert all(_smallest_factor(q) == q for q in primes)
-    # n = 40 on the histogram path at shifted spans 139, 739 and 139: the
-    # tables are rebuilt between the first and second dimension only
-    monkeypatch.setattr(partitions, "_prime_tables", (2, [], []))
+    # n = 40 on the histogram path at shifted spans 139, 739 and 139: the larger
+    # span builds the larger table, of size 1024 after 256, and the repeated
+    # span builds none; the cache is rebuilt on demand, so clearing it is safe
+    partitions._factor_tables.cache_clear()
     rng = random.Random(11)
-    limits = []
+    misses = []
     for top in (100, 700, 100):
         w = tuple(sorted(rng.sample(range(1, top), 38) + [top, 0], reverse=True))
         assert weyl_dimension(w, 40) == _weyl_dimension_pairwise(w, 40)
-        limits.append(partitions._prime_tables[0])
-    assert 139 < limits[0] <= 739 < limits[1] == limits[2]
+        misses.append(partitions._factor_tables.cache_info().misses)
+    assert misses == [1, 2, 2]
+    for size in (256, 1024):
+        partitions._factor_tables(size)
+    assert partitions._factor_tables.cache_info().misses == 2
 
 
 def wide_span_weight(n):

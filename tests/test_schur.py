@@ -69,6 +69,9 @@ def test_schur_character_examples():
     assert schur_character((2, 1), 2) == {(2, 1): 1, (1, 2): 1}
     assert schur_character((1, 1, 1), 2) == {}
     assert schur_character((), 3) == {(0, 0, 0): 1}
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            schur_character((1,), m)
 
 
 def test_character_symmetry():
@@ -126,13 +129,13 @@ def test_lr_coefficient_symmetric_in_factors(triple):
 def test_malformed_schur_input_rejected():
     assert lr_coefficient((2,), (1,), (1,)) == 1  # a warm int call answers no float
     for lam, mu, nu in (((2.0,), (1,), (1,)), ((2,), (True,), (1,)), ((2,), (1,), (1.0,))):
-        with pytest.raises(ValueError, match="partition entries must be ints"):
+        with pytest.raises(ValueError, match="partition entry must be an int"):
             lr_coefficient(lam, mu, nu)
-    with pytest.raises(ValueError, match="partition entries must be ints"):
+    with pytest.raises(ValueError, match="partition entry must be an int"):
         tensor_decompose((1.9,), (1,), 2)
-    with pytest.raises(ValueError, match="max_length must be a non-negative int"):
+    with pytest.raises(ValueError, match="max_length must be non-negative"):
         tensor_decompose((1,), (1,), -1)
-    with pytest.raises(ValueError, match="block ranks must be non-negative ints"):
+    with pytest.raises(ValueError, match="block ranks must be non-negative"):
         filtration_quotients((1,), (-1, 2))
     # refused at the call, before any next()
     for n, max_length, message in ((True, None, "n must be an int"),
@@ -246,7 +249,7 @@ def test_shared_walk_result_is_not_exposed():
         SchurSummand(((3,), (2, 1)), 1),
     ]
     assert skew_decompose((3, 1), (1,)) == {(3,): 1, (2, 1): 1}
-    with pytest.raises(ValueError, match="partition entries must be ints"):
+    with pytest.raises(ValueError, match="partition entry must be an int"):
         skew_decompose((3.0, 1), (1,))
 
 

@@ -274,21 +274,55 @@ def test_np_certify_monotone_in_gap(query):
         assert np_certify(spec, suffix_sums([g + 1 for g in gaps]), p).certified
 
 
-@given(bcd_query(), st.integers(1, 6))
-def test_bcd_verdicts_are_monotone(query, l):
-    # L = l (k, k-1, ..., 1) has gap l; C never certifies below l = p, and B/D
-    # never below l = p + 1, the threshold's s = 1 row
-    spec, _, p = query
+def _assert_verdicts_monotone(spec, l, p, shift):
+    """With L = l (k, k-1, ..., 1), of gap l: a verdict certified at (l, p) has
+    l >= p + shift and stays certified at (l + 1, p) and at (l, p - 1)."""
     k = spec.shape.k
 
     def certified(l, p):
         return np_certify(spec, tuple(l * (k - i) for i in range(k)), p).certified
 
     if certified(l, p):
-        assert l >= p + (spec.family is not Family.C)
+        assert l >= p + shift
         assert certified(l + 1, p)
         if p >= 2:
             assert certified(l, p - 1)
+
+
+@given(bcd_query(), st.integers(1, 6))
+def test_bcd_verdicts_are_monotone(query, l):
+    # C never certifies below l = p, and B/D never below l = p + 1, the
+    # threshold's s = 1 row
+    spec, _, p = query
+    _assert_verdicts_monotone(spec, l, p, spec.family is not Family.C)
+
+
+@st.composite
+def a_or_g2_query(draw):
+    """A type-A flag with at most 3 quotient ranks past the first, G2_X or
+    G2_P, and p <= 4."""
+    token = draw(st.sampled_from(["fl", "g2x", "g2p"]))
+    if token == "fl":
+        dims = suffix_sums(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        token = f"fl({','.join(map(str, dims))};{dims[0] + draw(st.integers(1, 3))})"
+    return parse_variety(token), draw(st.integers(1, 4))
+
+
+@given(a_or_g2_query(), st.integers(1, 6))
+def test_a_and_g2_verdicts_are_monotone(query, l):
+    # A and G2 never certify below l = p
+    spec, p = query
+    _assert_verdicts_monotone(spec, l, p, 0)
+
+
+def test_g2_verdict_is_gap_at_least_p():
+    # the exhaustive sweep is the proof; on this grid it certifies exactly l >= p
+    for token in ("g2x", "g2p"):
+        spec = parse_variety(token)
+        for p in range(1, 6):
+            for l in range(1, 8):
+                a = (l,) if token == "g2x" else (2 * l, l)
+                assert g2_np_certify(spec, a, p).certified == (l >= p), (token, p, l)
 
 
 def test_certificate_trace_is_the_rows_within_one_of_the_threshold():
