@@ -5,13 +5,18 @@ quotient block.  Cohomology is computed by the shift-sort-count recipe:
 subtract (1,2,...,n) from the concatenation, vanish on repeated entries,
 otherwise the single nonzero degree is the inversion count of the shifted
 sequence and the representation is read off from its descending sort.
+One kernel, _degree, holds the vanishing and degree rule for every caller,
+bbw_cohomology and the G2 sweep alike; it counts only pairs across blocks,
+since each shifted block strictly decreases.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left
 from collections import namedtuple
-from operator import lt
+from collections.abc import Iterable
+from itertools import chain, count, repeat
+from operator import add, lt, sub
 from typing import NamedTuple
 
 from .partitions import _shifted_dimension, check_int, check_ints, normalize, pad
@@ -67,20 +72,28 @@ class CohomologyResult(NamedTuple):
         }
 
 
-def _rho_shift(w: BlockedWeight) -> tuple[int, ...]:
-    """Concatenated weight minus (1, 2, ..., n)."""
-    seq = w.concat()
-    return tuple(x - (i + 1) for i, x in enumerate(seq))
+def _degree(shifted: list[int], ranks: Iterable[int]) -> int | None:
+    """The one nonzero cohomological degree of a shifted weight, or None.
 
-
-def _inversion_count(seq: tuple[int, ...]) -> int:
-    """Number of pairs i < j with seq[i] < seq[j]."""
-    count = 0
-    seen: list[int] = []  # entries right of the current one, sorted
-    for x in reversed(seq):
-        count += len(seen) - bisect_right(seen, x)
-        insort(seen, x)
-    return count
+    shifted is the concatenated weight minus (1, 2, ..., n), cut into blocks
+    of the given ranks.  Everything vanishes on a repeated entry; otherwise
+    the degree is the number of pairs i < j with shifted[i] < shifted[j].
+    Each block strictly decreases, so only pairs across blocks count: each
+    block is counted against the sorted entries of the blocks before it.
+    """
+    if len(set(shifted)) != len(shifted):
+        return None
+    ranks = iter(ranks)
+    start = next(ranks, 0)
+    seen = sorted(shifted[:start])
+    degree = 0
+    for r in ranks:
+        block = shifted[start:start + r]
+        degree += sum(map(bisect_left, repeat(seen, r), block))
+        seen += block
+        seen.sort()
+        start += r
+    return degree
 
 
 def flag_dimension(ranks: tuple[int, ...]) -> int:
@@ -93,14 +106,14 @@ def flag_dimension(ranks: tuple[int, ...]) -> int:
 
 def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
     """All cohomology of the Schur-power bundle attached to a blocked weight."""
-    shifted = _rho_shift(w)
-    if len(set(shifted)) != len(shifted):
+    shifted = list(map(sub, chain.from_iterable(w.blocks), count(1)))
+    degree = _degree(shifted, map(len, w.blocks))
+    if degree is None:
         return CohomologyResult(vanishes=True)
-    degree = _inversion_count(shifted)
-    descending = sorted(shifted, reverse=True)
-    dominant = tuple(x + (i + 1) for i, x in enumerate(descending))
-    # descending is the dominant weight's l_i = w_i - i, up to a constant
-    return CohomologyResult(False, degree, dominant, _shifted_dimension(descending))
+    shifted.sort(reverse=True)
+    # sorted, shifted is the dominant weight's l_i = w_i - i, up to a constant
+    return CohomologyResult(False, degree, tuple(map(add, shifted, count(1))),
+                            _shifted_dimension(shifted))
 
 
 class InversionBoundReport(NamedTuple):

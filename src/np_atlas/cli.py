@@ -48,6 +48,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+# json.dumps builds a new encoder for each call with sort_keys; one is enough
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(doc: dict) -> None:
     # Exact dimensions can pass the int->str digit limit of Python >= 3.10.7,
     # so lift it for this dump only; older versions have no limit.
@@ -55,7 +59,7 @@ def _emit(doc: dict) -> None:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(doc, sort_keys=True)
+        text = _ENCODER.encode(doc)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -257,6 +257,13 @@ _G2_TOKENS = {
 }
 
 
+def _token(what: str, text: str) -> str:
+    """text stripped and lower-cased; anything but a string is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be a string, got {text!r}")
+    return text.strip().lower()
+
+
 def _parse_shape_body(text: str, token: str) -> FlagShape:
     body = text[len(token):].strip()
     if not (body.startswith("(") and body.endswith(")")):
@@ -275,7 +282,7 @@ def _parse_shape_body(text: str, token: str) -> FlagShape:
 
 def parse_variety(text: str) -> VarietySpec:
     """Parse catalog syntax: fl(...), sfl(...), ofl(...), g2x, g2q, g2p."""
-    s = text.strip().lower()
+    s = _token("variety", text)
     if s in _G2_TOKENS:
         fam = _G2_TOKENS[s]
         return VarietySpec(fam, FlagShape(7, G2_DIMS[fam]))
@@ -289,7 +296,7 @@ def parse_variety(text: str) -> VarietySpec:
 
 def parse_shape(text: str) -> FlagShape:
     """Parse a bare type-A shape "fl(n1,...,nk; n)"."""
-    s = text.strip().lower()
+    s = _token("shape", text)
     if not s.startswith("fl"):
         raise ValueError(f"expected fl(...), got {text!r}")
     return _parse_shape_body(s, "fl")

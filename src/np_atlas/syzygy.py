@@ -21,18 +21,21 @@ the gap is read off the checked coefficients; the tail ranks come from a
 FlagShape, whose checks already make them positive ints, so it reads the
 cached threshold without np_threshold's checks of p and the ranks.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
-sweep that evaluates each distinct Koszul twist once.  One builder makes every
-certificate, of type A, B/C/D or G2: it names a clause exactly when the query
-is certified.
+sweep that evaluates each distinct Koszul twist once.  It reads only the
+twist's degree from the kernel in bott, on plain ints: no weight record and no
+dimension.  One builder makes every certificate, of type A, B/C/D or G2: it
+names a clause exactly when the query is certified.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import count
+from operator import sub
 from typing import NamedTuple
 
-from .bott import bbw_cohomology, flag_dimension
+from .bott import _degree, flag_dimension
 from .geometry import (
     AMPLE,
     G2_TWISTED,
@@ -132,7 +135,7 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     family is "C" (symplectic) or "BD" (orthogonal).  The returned value is
     the exact maximum over all configurations 0 <= s_i <= r_i with s >= 1.
     """
-    if family not in _SQUARES:
+    if not isinstance(family, str) or family not in _SQUARES:
         raise ValueError(f"unknown family {family!r}")
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
@@ -285,21 +288,29 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     totals = range(1, p + dim + 7)  # row totals reach i + dim + 5, with i <= p + 1
     tails = {t: [(a1, t - a1) for a1 in range((t + 1) // 2, t + 1)] if g2x
              else [(t - s, s) for s in range(t + 1)] for t in totals}
-    # the twist depends on (j, tail) and not on i: evaluate each one once
-    results = {(j, tail): bbw_cohomology(g2_koszul_twist_weight(spec, a, j, tail))
-               for j in range(6) for t in totals for tail in tails[t]}
+    # the twist depends on (j, tail) and not on i: evaluate each one once.  A
+    # tail adds to the last two entries of the j-th twist, so shift those
+    # entries once per j and add the tail to them
+    degrees = {}
+    for j in range(6):
+        w = g2_koszul_twist_weight(spec, a, j)
+        ranks = w.ranks
+        *head, e6, e7 = map(sub, w.concat(), count(1))
+        for t in totals:
+            for tail in tails[t]:
+                degrees[j, tail] = _degree(head + [e6 + tail[0], e7 + tail[1]], ranks)
     trace = []
     for j in range(6):
         for i in range(1, p + 2):
             for t in range(i, i + dim + 6):
                 d = j - i + t  # G2_X forbids degree d + 1, G2_P allows up to d
                 for tail in tails[t]:
-                    res = results[j, tail]
+                    deg = degrees[j, tail]
                     if g2x:
-                        ok = res.vanishes or res.degree != d + 1
+                        ok = deg is None or deg != d + 1
                         row = (j, i, t, *tail, d + 1)
                     else:
-                        ok = res.vanishes or res.degree <= d
+                        ok = deg is None or deg <= d
                         row = (j, i, tail[1], tail[0], d)
                     trace.append(row + ("ok" if ok else "violation",))
 

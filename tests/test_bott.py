@@ -6,8 +6,8 @@ from hypothesis import example, given, strategies as st
 
 from np_atlas.bott import (
     BlockedWeight,
-    _inversion_count,
-    _rho_shift,
+    CohomologyResult,
+    _degree,
     bbw_cohomology,
     flag_dimension,
     inversion_bound,
@@ -32,24 +32,41 @@ def test_blocked_weight_rejects_non_int_entries():
             BlockedWeight(blocks)
 
 
-def test_rho_shift_examples():
-    assert _rho_shift(BlockedWeight(((2,), (0,)))) == (1, -2)
-    assert _rho_shift(BlockedWeight(((0,), (3,)))) == (-1, 1)
-    assert _rho_shift(BlockedWeight(((1, 1), (0,)))) == (0, -1, -3)
-
-
 def test_inversion_count_examples():
-    assert _inversion_count((1, -1)) == 0
-    assert _inversion_count((-1, 1)) == 1
-    assert _inversion_count((3, 2, 1)) == 0
-    assert _inversion_count((-1, 0, 2)) == 3
+    # one entry per block: the degree is the inversion count of the sequence
+    assert _degree([1, -1], (1, 1)) == 0
+    assert _degree([-1, 1], (1, 1)) == 1
+    assert _degree([3, 2, 1], (1, 1, 1)) == 0
+    assert _degree([-1, 0, 2], (1, 1, 1)) == 3
+    # blocks strictly decrease, so only pairs across blocks count
+    assert _degree([0, -1, 2, 1], (2, 2)) == 4
+    assert _degree([0, -3, -1], (2, 1)) == 1
+    assert _degree([0, -1, 0], (2, 1)) is None
+    assert _degree([], ()) == 0
 
 
-@given(st.lists(st.integers(-5, 5), max_size=30).map(tuple))
-@example(())
-def test_inversion_count_matches_double_loop(seq):
-    brute = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] < seq[j])
-    assert _inversion_count(seq) == brute
+def test_zero_block_weight():
+    assert bbw_cohomology(BlockedWeight(())) == CohomologyResult(False, 0, (), 1)
+
+
+_BLOCK = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(
+    lambda b: tuple(sorted(b, reverse=True)))
+
+
+@given(st.lists(_BLOCK, min_size=1, max_size=4).map(lambda bs: BlockedWeight(tuple(bs))))
+@example(BlockedWeight(((0,), (1,))))  # shifted (-1, -1): vanishes
+@example(BlockedWeight(((0,), (3,))))
+def test_bbw_cohomology_matches_double_loop(w):
+    # the shift-sort-count recipe, restated with a double loop over all pairs
+    n = w.n
+    shifted = [x - i for i, x in enumerate(w.concat(), 1)]
+    res = bbw_cohomology(w)
+    if len(set(shifted)) < n:
+        assert res == CohomologyResult(vanishes=True)
+        return
+    degree = sum(1 for i in range(n) for j in range(i + 1, n) if shifted[i] < shifted[j])
+    weight = tuple(x + i for i, x in enumerate(sorted(shifted, reverse=True), 1))
+    assert res == CohomologyResult(False, degree, weight, weyl_dimension(weight, n))
 
 
 def test_flag_dimension():

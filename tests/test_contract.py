@@ -1,12 +1,13 @@
 """Every exported callable refuses a float or a bool where it takes an int,
-and a bare int where it takes a sequence.
+a bare int where it takes a sequence, and a non-string where it takes a string.
 
 CALLS holds one valid call per callable in np_atlas.__all__.  The valid call
 runs first, so any cache is warm; then each int leaf of its arguments (inside
 plain tuples, not inside built objects, which have calls of their own) is
 replaced by x + 0.5, by float(x) and, where x is 1, by True, and every such
 call must raise ValueError.  In the same way each plain tuple argument, and
-each plain tuple inside one, is replaced by the int 3.  The descent tests
+each plain tuple inside one, is replaced by the int 3, and each string leaf
+by the int 3, None, a list holding it and its bytes.  The descent tests
 type(value) is tuple, because the library's records are tuple subclasses.
 A new exported callable fails the test until it has an entry.
 """
@@ -84,6 +85,16 @@ def _bare_ints(args):
                 yield args[:i] + (bad,) + args[i + 1:]
 
 
+def _non_strings(value):
+    """Copies of nested tuples with one string leaf replaced by a non-string."""
+    if type(value) is str:
+        yield from [3, None, [value], value.encode()]
+    elif type(value) is tuple:
+        for i, item in enumerate(value):
+            for bad in _non_strings(item):
+                yield value[:i] + (bad,) + value[i + 1:]
+
+
 def _accepted(fn, variants):
     """The variants that fn does not refuse with ValueError."""
     accepted = []
@@ -115,4 +126,14 @@ def test_sequence_arguments_refuse_bare_ints(name):
     args = CALLS[name]
     fn(*args)
     accepted = _accepted(fn, _bare_ints(args))
+    assert not accepted, f"{name} accepted {accepted}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items()
+                                        if args is not None and any(_non_strings(args))))
+def test_string_arguments_refuse_non_strings(name):
+    fn = getattr(np_atlas, name)
+    args = CALLS[name]
+    fn(*args)
+    accepted = _accepted(fn, _non_strings(args))
     assert not accepted, f"{name} accepted {accepted}"

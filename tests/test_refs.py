@@ -1,14 +1,16 @@
-"""Every query of the three gated benchmark workloads still gives its recorded output.
+"""Every query of the benchmark workloads still gives its recorded output.
 
 perfbench/tests checks the references on a prefix of one seed's queries.
-This runs each gated workload's whole universe against
+This runs each workload's whole universe against
 perfbench/refs/<workload>.json.gz:
 
 - schur-cold: every tensor product, filtration quotient and Schur complex
   term, and the restriction checks at all three gaps;
 - threshold-sweep: every threshold with its certificates at the two gaps
   either side of it;
-- cli-cohomology: every CLI cohomology call.
+- cli-cohomology: every CLI cohomology call;
+- g2-sweep: every CLI certificate on the two G2 varieties;
+- bbw-large: every Bott-Borel-Weil result at n = 100..300.
 
 perfbench/workloads.py is loaded from its file and only read.
 """
@@ -59,3 +61,17 @@ def test_cli_cohomology_universe_matches_references():
     # 16 sizes n = 4..64, 80 weights each
     assert len(queries) == len(digests) == 1_280
     assert digests == _load_workloads().load_refs("cli-cohomology")
+
+
+def test_g2_sweep_universe_matches_references():
+    queries, digests = _run_universe("g2-sweep")
+    # g2x and g2p, p = 1..10, gaps p .. p + 3
+    assert len(queries) == len(digests) == 80
+    assert digests == _load_workloads().load_refs("g2-sweep")
+
+
+def test_bbw_large_universe_matches_references():
+    queries, digests = _run_universe("bbw-large")
+    # 11 sizes n = 100..300, 16 weights each
+    assert len(queries) == len(digests) == 176
+    assert digests == _load_workloads().load_refs("bbw-large")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from np_atlas import syzygy
-from np_atlas.bott import bbw_cohomology, flag_dimension
+from np_atlas.bott import _degree, bbw_cohomology, flag_dimension
 from np_atlas.geometry import (
     Family,
     FlagShape,
@@ -459,15 +459,15 @@ def test_g2_certificates_pinned():
 
 def test_g2_sweep_evaluates_each_twist_once(monkeypatch):
     for token, a, calls in (("g2x", (1,), 1170), ("g2p", (2, 1), 2430)):
-        weights = []
+        twists = []
 
-        def counted(w, weights=weights):
-            weights.append(w)
-            return bbw_cohomology(w)
+        def counted(shifted, ranks, twists=twists):
+            twists.append((tuple(shifted), ranks))
+            return _degree(shifted, ranks)
 
-        monkeypatch.setattr(syzygy, "bbw_cohomology", counted)
+        monkeypatch.setattr(syzygy, "_degree", counted)
         g2_np_certify(parse_variety(token), a, 10)
-        assert len(weights) == len(set(weights)) == calls, token
+        assert len(twists) == len(set(twists)) == calls, token
 
 
 def _g2_rows(spec, a, j, i, totals):
