@@ -114,6 +114,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if summary["pass"] else EXIT_NOT_CERTIFIED
 
 
+# The options of the table subcommands, declared once: name -> (command
+# function, help, options).  Each option is (flag, dest, type, help); every
+# one is required, and a type of None keeps the string as given, as argparse
+# does.  build_parser makes these subparsers from it, and _read_table reads a
+# well-formed argv off it without building any parser.
+_TABLE = {
+    "cohomology": (cmd_cohomology, "all cohomology of a Schur-power bundle", (
+        ("--shape", "shape", None, 'flag shape, e.g. "fl(1;2)"'),
+        ("--weight", "weight", None, 'blocked weight, e.g. "[3],[0]"'),
+    )),
+    "np": (cmd_np, "certify Property (N_p) for an ample bundle", (
+        ("--spec", "spec", None, 'variety, e.g. "sfl(6,5,3;12)" or "g2x"'),
+        ("--L", "L", None, 'line-bundle coefficients, e.g. "3,2,1"'),
+        ("--p", "p", int, None),
+    )),
+    "np-threshold": (cmd_np_threshold, "exact rational gap threshold", (
+        ("--family", "family", None, "C, B, D, or BD"),
+        ("--ranks", "ranks", None, 'tail quotient ranks, e.g. "1,2,3"'),
+        ("--p", "p", int, None),
+    )),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The np-atlas argument parser, built once per process.
@@ -129,22 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    p = sub.add_parser("cohomology", help="all cohomology of a Schur-power bundle")
-    p.add_argument("--shape", required=True, help='flag shape, e.g. "fl(1;2)"')
-    p.add_argument("--weight", required=True, help='blocked weight, e.g. "[3],[0]"')
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("np", help="certify Property (N_p) for an ample bundle")
-    p.add_argument("--spec", required=True, help='variety, e.g. "sfl(6,5,3;12)" or "g2x"')
-    p.add_argument("--L", required=True, help='line-bundle coefficients, e.g. "3,2,1"')
-    p.add_argument("--p", required=True, type=int)
-    p.set_defaults(fn=cmd_np)
-
-    p = sub.add_parser("np-threshold", help="exact rational gap threshold")
-    p.add_argument("--family", required=True, help="C, B, D, or BD")
-    p.add_argument("--ranks", required=True, help='tail quotient ranks, e.g. "1,2,3"')
-    p.add_argument("--p", required=True, type=int)
-    p.set_defaults(fn=cmd_np_threshold)
+    for command, (fn, summary, options) in _TABLE.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, dest, convert, help_text in options:
+            p.add_argument(flag, dest=dest, required=True, type=convert, help=help_text)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")
@@ -155,20 +167,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_table(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse returns for a table subcommand's plain argv, else None.
+
+    Plain means every option of the subcommand exactly once, each as its full
+    flag followed by a value that does not start with "-", and every typed
+    value converting with the type argparse calls.  argparse reads such an
+    argv the same way; anything else (help, abbreviations, "--flag=value",
+    repeats, "--", a value like "-1", a bad value, a value that is not a
+    str) is left to it, so help, usage and every error still come from
+    argparse.
+    """
+    entry = _TABLE.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    fn, _, options = entry
+    if len(argv) != 1 + 2 * len(options):
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    values = {}
+    for flag, dest, convert, _ in options:
+        text = given.get(flag)
+        if not isinstance(text, str) or text.startswith("-"):
+            return None
+        if convert is not None:
+            try:
+                text = convert(text)
+            except ValueError:
+                return None
+        values[dest] = text
+    # a repeated flag leaves another flag out, so it is caught above
+    return argparse.Namespace(command=argv[0], fn=fn, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        # The top-level parser hands everything after a subcommand's name to
-        # that subcommand's parser unread, so call that parser directly.
-        subparser = parser.commands.get(argv[0]) if argv else None
-        if subparser is None:
-            args = parser.parse_args(argv)
-        else:
-            args = subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    args = _read_table(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            # The top-level parser hands everything after a subcommand's name to
+            # that subcommand's parser unread, so call that parser directly.
+            subparser = parser.commands.get(argv[0]) if argv else None
+            if subparser is None:
+                args = parser.parse_args(argv)
+            else:
+                args = subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
     except ValueError as exc:

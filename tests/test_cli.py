@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,11 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import np_atlas
 from np_atlas import verify
 from np_atlas.bott import BlockedWeight, bbw_cohomology
-from np_atlas.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, build_parser, main
+from np_atlas.cli import (
+    EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, _TABLE, _read_table, build_parser, main,
+)
 from test_partitions import _weyl_dimension_pairwise, wide_span_weight
 
 
@@ -237,19 +243,8 @@ SUBCOMMAND_ARGVS = {
 }
 
 
-@pytest.fixture
-def fresh_parser():
-    """A parser of this test's own, whose defaults the test may change."""
-    build_parser.cache_clear()
-    yield build_parser()
-    build_parser.cache_clear()
-
-
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGVS))
-def test_main_hands_argv_to_the_subcommand_parser(capsys, fresh_parser, command):
-    sub = fresh_parser.commands[command]
-    real, seen = sub.get_default("fn"), []
-    sub.set_defaults(fn=lambda args: seen.append(args) or real(args))
+def test_main_hands_argv_to_the_subcommand_parser(capsys, command):
     valid, missing = SUBCOMMAND_ARGVS[command]
     codes = []
     for argv in ([command, *valid], [command, *missing], [command, "-h"]):
@@ -258,8 +253,67 @@ def test_main_hands_argv_to_the_subcommand_parser(capsys, fresh_parser, command)
         assert run(capsys, *argv) == (code, expected.out, expected.err), argv
         codes.append(code)
     assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK]
-    # the command got the values the top-level parser reads off the same argv
-    assert seen == [fresh_parser.parse_args([command, *valid])] * 2
+    # a well-formed argv of a table subcommand is read off the table, into the
+    # namespace the top-level parser reads off the same argv; the rest is left
+    # to argparse
+    args = build_parser().parse_args([command, *valid])
+    assert _read_table([command, *valid]) == (args if command in _TABLE else None)
+    assert _read_table([command, *missing]) is None
+    assert _read_table([command, "-h"]) is None
+
+
+# option values that argparse reads in different ways: empty, option-like,
+# negative, strings that int() takes or refuses, and, from Python callers,
+# values that are not strings
+ODD_VALUES = ("", "-1", "-x", " 3", "+3", "1_0", "x", "3", "--", "-h", None, 3)
+PLAIN_VALUES = {"--shape": "fl(1;2)", "--weight": "[3],[0]", "--spec": "g2x", "--L": "2",
+                "--p": "2", "--family": "C", "--ranks": "1,1"}
+
+
+@st.composite
+def table_argvs(draw):
+    """argv for a table subcommand: each option full, abbreviated or as
+    --flag=value, in any order, some left out or repeated, with stray tokens."""
+    command = draw(st.sampled_from(sorted(_TABLE)))
+    flags = [option[0] for option in _TABLE[command][2]]
+    chosen = draw(st.permutations(flags))
+    # usually every option once; else one left out, or one repeated
+    chosen = draw(st.sampled_from((chosen, chosen, chosen[1:], chosen + chosen[:1])))
+    argv = [command]
+    for flag in chosen:
+        value = draw(st.one_of(st.just(PLAIN_VALUES[flag]), st.sampled_from(ODD_VALUES),
+                               st.text(max_size=3)))
+        form = draw(st.sampled_from(("full", "full", "full", "abbreviated", "equals")))
+        if form == "abbreviated" and len(flag) > 3:
+            argv += [flag[:draw(st.integers(3, len(flag) - 1))], value]
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    stray = draw(st.sampled_from(([], [], [], ["-h"], ["--"], ["--extra"], ["x"], ["-1"])))
+    at = draw(st.integers(1, len(argv)))
+    return argv[:at] + stray + argv[at:]
+
+
+@settings(max_examples=300)
+@given(table_argvs())
+@example(["np", "--spec", "g2x", "--L", "1", "--p", 3])
+def test_table_reader_reads_what_argparse_reads(argv):
+    read = _read_table(argv)
+    subparser = build_parser().commands[argv[0]]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            expected = subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    except (SystemExit, TypeError):  # argparse takes no int in argv
+        assert read is None
+    else:
+        assert read is None or read == expected
+        # every option once, in full, with a plain value, is always read
+        flags = {option[0] for option in _TABLE[argv[0]][2]}
+        if (len(argv) == 1 + 2 * len(flags) and set(argv[1::2]) == flags
+                and argv[2::2] == [PLAIN_VALUES[flag] for flag in argv[1::2]]):
+            assert read == expected
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["no-such-command"], ["--p", "1"]])
@@ -320,13 +374,26 @@ def test_parser_reuse_leaks_no_state(capsys):
     assert (args.cases, args.seed) == (None, None)
 
 
-def test_cli_import_leaves_verify_unloaded():
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this np_atlas."""
     src = str(Path(np_atlas.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_verify_unloaded():
     # a one-shot call pays every import: verify is loaded lazily, and the
     # records are tuples, so nothing pulls in dataclasses
     code = ("import sys, np_atlas.cli; "
             "print([m for m in ('np_atlas.verify', 'dataclasses') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_well_formed_call_builds_no_parser():
+    code = ("from np_atlas import cli; "
+            "code = cli.main(['cohomology', '--shape', 'fl(1;2)', '--weight', '[3],[0]']); "
+            "print(code, cli.build_parser.cache_info().currsize)")
+    out = _fresh_python(code).splitlines()
+    assert json.loads(out[0])["dimension"] == 4
+    assert out[1:] == ["0 0"]

@@ -129,6 +129,36 @@ def test_np_threshold_bd_small_picard():
             assert np_threshold("C", ranks, p).value == Fraction(p)
 
 
+def _p0(ranks):
+    """The least p from which np_threshold is p + shift for every larger p.
+
+    Row s = 1 is exactly p + shift, and row s is at most p + shift iff
+    p(s - 1) >= 1 + s(s - 1)/2 - sq_min(s), with sq_min(s) the least square
+    sum of a configuration of total s.
+    """
+    return max([1] + [-(-(1 + s * (s - 1) // 2 - sq) // (s - 1))
+                      for s, _, sq in syzygy._min_square_configs(ranks) if s >= 2])
+
+
+def test_threshold_is_p_plus_shift_from_p0_on():
+    # every tail-rank tuple of length <= 4 with parts <= 5, C and BD, p = 1..40
+    counts = {}
+    for length in range(1, 5):
+        for ranks in product(range(1, 6), repeat=length):
+            p0 = _p0(ranks)
+            for family, shift in (("C", 0), ("BD", 1)):
+                exact = [p for p in range(1, 41) if np_threshold(family, ranks, p).value == p + shift]
+                assert exact == list(range(p0, 41)), (family, ranks)
+            counts[p0] = counts.get(p0, 0) + 1
+    assert counts == {1: 133, 2: 299, 3: 228, 4: 105, 5: 15}
+    # the README's table
+    assert {_p0(r) for L in (1, 2) for r in product(range(1, 6), repeat=L)} == {1}
+    assert [r for r in product(range(1, 4), repeat=3) if _p0(r) > 1] == [(3, 3, 3)]
+    examples = {(3, 3, 3): 2, (4, 4, 4): 2, (5, 5, 5): 3, (2, 2, 2, 2): 2, (1,) * 6: 2,
+                (3, 3, 3, 3): 3, (5, 5, 5, 5): 5, (1, 2, 3): 1}
+    assert {r: _p0(r) for r in examples} == examples
+
+
 def test_np_threshold_validation():
     with pytest.raises(ValueError):
         np_threshold("E", (1,), 1)
