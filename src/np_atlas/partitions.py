@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from math import factorial, isqrt, prod
-from operator import lt
+from operator import ge, lt
 from typing import Iterable
 
 
@@ -63,17 +63,26 @@ def pad(p: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """Diagram containment: inner fits inside outer."""
-    if len(inner) > len(outer):
-        return False
-    return all(o >= i for o, i in zip(outer, inner))
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
 
 
 def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     """Transpose the Young diagram."""
-    p = normalize(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for row in p if row > j) for j in range(p[0]))
+    return _conjugate(normalize(p))
+
+
+def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
+    """conjugate of a normalized partition, without normalize's checks.
+
+    The p[r - 1] - p[r] columns that end in row r (1-based) have r cells, and
+    the columns come in order of decreasing r.
+    """
+    cols: list[int] = []
+    below = 0  # p[r], the length of the row under row r
+    for r in range(len(p), 0, -1):
+        cols += [r] * (p[r - 1] - below)
+        below = p[r - 1]
+    return tuple(cols)
 
 
 def _from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,14 +6,19 @@ lattice skew tableaux of a shape, which returns every content at once;
 schur_character sums over semistandard tableaux and serves as an independent
 cross-check of the whole tensor calculus.  Each distinct walk runs once per
 process (the walk is cached behind the callers' input checks), and its forced
-top rows are filled in rather than walked.  The walk compiles its shape into
-flat cell tables and fills them with an iterative odometer, one loop step per
-value tried and no call per cell.
+top rows are filled in rather than walked: they only set the value counts the
+walk starts from.  The rows below them are compiled into flat slot tables once
+per skeleton (the walked rows, the inner shape from the last forced row on,
+the number of forced rows and the value cap), so shapes that differ only in
+their forced rows share one compile.  An iterative odometer fills the tables,
+one loop step per value tried and no call per cell, and counts the values of
+the last cell at once.  The producers build their SchurSummand records from
+(shape, multiplicity) pairs in C, with no Python frame per record.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, NamedTuple
 
 from .partitions import check_int, check_ints, contains, normalize, pad
@@ -24,6 +29,20 @@ class SchurSummand(NamedTuple):
 
     shape: tuple
     multiplicity: int
+
+
+# Builds a summand from its (shape, multiplicity) pair in C, where _make runs
+# a Python frame per record.  Every pair the producers pass has two entries.
+_summand = partial(tuple.__new__, SchurSummand)
+
+
+def _sorted_summands(items) -> list[SchurSummand]:
+    """The summands of (shape, multiplicity) pairs with distinct shapes, by shape.
+
+    A summand compares as its pair, so with distinct shapes this is the order
+    of the sorted pairs.
+    """
+    return sorted(map(_summand, items))
 
 
 def partitions_of(n: int, *, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -83,15 +102,12 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
     The top rows, those with mu[i] == mu[0], are forced: row 0 holds only
     1s, and every cell of a later such row i sits below a cell of row i - 1,
     so it holds exactly i + 1; the lattice condition holds since lam is
-    weakly decreasing.  Those rows are filled in, and the walk starts below
-    them.
-
-    The other cells are listed once in reading order, each with the slot
-    that caps its value (its right neighbour, or its row's cap) and the slot
-    that floors it (the cell above it, or 0), and an explicit-stack odometer
-    fills one flat value list, with no Python call per cell.  The lattice
-    condition keeps the value counts a partition, so each leaf's content is
-    the prefix of the counts up to a sentinel 0.
+    weakly decreasing.  Those rows are filled in: they give only the value
+    counts the walk starts from.  The walk starts below them, on slot tables
+    compiled once per skeleton (see _lr_skeleton), which an explicit-stack
+    odometer fills in one flat value list, with no Python call per cell.
+    The lattice condition keeps the value counts a partition, so each
+    leaf's content is the prefix of the counts up to a sentinel 0.
     """
     rows = len(lam)
     mu = pad(mu, rows)
@@ -108,60 +124,90 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
                 return {}  # this row needs the value forced + 1 > max_length
             counts[forced + 1] = width
         forced += 1
-    # Compile the shape into slots of vals: the n walked cells take slots
-    # 0..n-1 in reading order, slot n holds 0, slot n + 1 the value of the
-    # last forced row, and slot n + 2 + i the cap min(i + 1, top) of row i.
-    # Cell k then takes the values vals[above[k]] + 1 .. vals[right[k]]:
-    # above[k] is the slot of the cell above it, or n when there is none, and
-    # right[k] the slot of its right neighbour, or its row's cap at the end
-    # of a row.
-    n = sum(lam[forced:]) - sum(mu[forced:])
-    if not n:
+    template, right, above = _lr_skeleton(lam[forced:], mu[forced - 1:], forced, top)
+    if not right:  # no cell below the forced rows
         return {tuple(counts[1:counts.index(0)]): 1}
-    vals = [0] * n + [0, forced, *range(1, top + 1)] + [top] * (rows - top)
-    right: list[int] = []
-    above: list[int] = []
-    start = prev = 0  # the first slots of rows i and i - 1
-    for i in range(forced, rows):  # forced >= 1, so row i - 1 exists
-        width = lam[i] - mu[i]
-        if not width:
-            continue  # and row i + 1 has no cell under row i
-        right += [n + 2 + i, *range(start, start + width - 1)]
-        under = max(0, lam[i] - mu[i - 1])  # the first under cells have a cell above
-        if i == forced:
-            above += [n + 1] * under
-        else:  # the cell above the first one of row i is lam[i - 1] - lam[i] into row i - 1
-            first = prev + lam[i - 1] - lam[i]
-            above += range(first, first + under)
-        above += [n] * (width - under)
-        prev, start = start, start + width
+    vals = list(template)
     out: dict[tuple[int, ...], int] = {}
-    last = n - 1
+    # The last cell is counted, not walked: each value left for it completes a
+    # tableau, so its values are counted each time the cell before it takes one.
+    last = len(right) - 1
+    floor, cap = above[last], right[last]
+    before = last - 1  # the cell whose every value is followed by counting the last cell's
+    if not last:  # one walked cell, with no cell before it: count its values once
+        for v in range(vals[floor] + 1, vals[cap] + 1):
+            if counts[v] < counts[v - 1]:  # lattice condition
+                counts[v] += 1
+                content = tuple(counts[1:counts.index(0)])
+                out[content] = out.get(content, 0) + 1
+                counts[v] -= 1
+        return out
     pos = 0
     vals[0] = vals[above[0]]
     while True:
         hi = vals[right[pos]]
-        if pos == last:  # each value left for the last cell completes a tableau
-            for v in range(vals[pos] + 1, hi + 1):
-                if counts[v] < counts[v - 1]:  # lattice condition
-                    counts[v] += 1
-                    content = tuple(counts[1:counts.index(0)])
-                    out[content] = out.get(content, 0) + 1
-                    counts[v] -= 1
-        else:
-            v = vals[pos] + 1
-            while v <= hi and counts[v] >= counts[v - 1]:
-                v += 1  # lattice condition: the counts stay weakly decreasing
-            if v <= hi:
-                vals[pos] = v
-                counts[v] += 1
+        v = vals[pos] + 1
+        while v <= hi and counts[v] >= counts[v - 1]:
+            v += 1  # lattice condition: the counts stay weakly decreasing
+        if v <= hi:
+            vals[pos] = v
+            counts[v] += 1
+            if pos < before:
                 pos += 1
                 vals[pos] = vals[above[pos]]  # one below the first value to try
                 continue
+            for w in range(vals[floor] + 1, vals[cap] + 1):
+                if counts[w] < counts[w - 1]:
+                    counts[w] += 1
+                    content = tuple(counts[1:counts.index(0)])
+                    out[content] = out.get(content, 0) + 1
+                    counts[w] -= 1
+            counts[v] -= 1  # and try the next value here
+            continue
         if not pos:  # no value left here: step back and advance the cell before
             return out
         pos -= 1
         counts[vals[pos]] -= 1
+
+
+# Shapes that differ only in their forced rows share a skeleton: the 210
+# products of partitions of 9 and 5 compile 63 of them.  The keys are tuples
+# of ints that _lr_fillings derived from its own checked key.
+@lru_cache(maxsize=None)
+def _lr_skeleton(walked: tuple[int, ...], inner: tuple[int, ...], forced: int,
+                 top: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Slot tables for the walked rows of an LR walk, below `forced` forced rows.
+
+    walked is lam[forced:], inner is mu[forced - 1:] (mu's last forced entry,
+    then the walked rows' entries) and top the value cap.  The n walked
+    cells take slots 0..n-1 of the value list in reading order, slot n holds
+    0, slot n + 1 the value of the last forced row, and slot n + 2 + i the
+    cap min(i + 1, top) of row i.  Cell k then takes the values
+    vals[above[k]] + 1 .. vals[right[k]]: above[k] is the slot of the cell
+    above it, or n when there is none, and right[k] the slot of its right
+    neighbour, or its row's cap at the end of a row.  Returns the value list
+    as a template, right and above; right is empty when no cell is walked.
+    """
+    n = sum(walked) - sum(inner[1:])
+    rows = forced + len(walked)
+    template = (0,) * n + (0, forced, *range(1, top + 1)) + (top,) * (rows - top)
+    right: list[int] = []
+    above: list[int] = []
+    start = prev = 0  # the first slots of rows i and i - 1
+    for w, row in enumerate(walked):  # row i = forced + w; forced >= 1, so row i - 1 exists
+        width = row - inner[w + 1]
+        if not width:
+            continue  # and row i + 1 has no cell under row i
+        right += [n + 2 + forced + w, *range(start, start + width - 1)]
+        under = max(0, row - inner[w])  # the first under cells have a cell above
+        if not w:
+            above += [n + 1] * under
+        else:  # the cell above the first one of row i is lam[i - 1] - lam[i] into row i - 1
+            first = prev + walked[w - 1] - row
+            above += range(first, first + under)
+        above += [n] * (width - under)
+        prev, start = start, start + width
+    return template, tuple(right), tuple(above)
 
 
 def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
@@ -191,9 +237,7 @@ def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
         raise ValueError(f"max_length must be non-negative, got {max_length}")
     shift = nu[0] if nu else 0
     lam = tuple(m + shift for m in mu) + nu
-    fillings = _lr_fillings(lam, (shift,) * len(mu), max_length=max_length)
-    # a summand is its (shape, c) pair, so sorting the pairs sorts the summands
-    return [SchurSummand._make(item) for item in sorted(fillings.items())]
+    return _sorted_summands(_lr_fillings(lam, (shift,) * len(mu), max_length=max_length).items())
 
 
 def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
@@ -261,18 +305,24 @@ def _mult_in_product(target: tuple[int, ...],
     and ranks a tuple of ints.  Peels the first block: S^target restricted
     to GL(ranks[0]) x GL(rest) is the sum of c^target_{rho,nu} S^rho (x)
     S^nu over the rho inside target, with one cached walk per distinct
-    (target, rho).  The cached dict is shared by every caller and must not
-    be mutated.
+    (target, rho).  With one block left, S^nu is its own entry, so the
+    (rho, nu) entries are written here.  The cached dict is shared by every
+    caller and must not be mutated.
     """
     if len(ranks) <= 1:  # zero blocks hold only (), one block holds target if it fits
         return {(target,) * len(ranks): 1} if len(target) <= sum(ranks) else {}
     rest = ranks[1:]
     room = sum(rest)
     out: dict[tuple[tuple[int, ...], ...], int] = {}
+    one_left = len(rest) == 1
     for rho in _sub_diagrams(target, ranks[0]):
         for nu, c in _lr_fillings(target, rho).items():
             # filtered, not capped: a room cap splits the shared walk keys (997 walks, not 381)
-            if len(nu) <= room:
+            if len(nu) > room:
+                continue
+            if one_left:  # S^nu is the last block's entry; distinct (rho, nu) pairs, each written once
+                out[rho, nu] = c
+            else:
                 for tail, m in _mult_in_product(nu, rest).items():
                     key = (rho,) + tail
                     out[key] = out.get(key, 0) + c * m
@@ -292,4 +342,4 @@ def filtration_quotients(alpha: tuple[int, ...],
         raise ValueError(f"block ranks must be non-negative, got {ranks}")
     if len(alpha) > sum(ranks):
         raise ValueError(f"partition {alpha} too long for total rank {sum(ranks)}")
-    return sorted(SchurSummand(shapes, c) for shapes, c in _mult_in_product(alpha, ranks).items())
+    return _sorted_summands(_mult_in_product(alpha, ranks).items())

@@ -51,8 +51,8 @@ from .geometry import (
     positivity,
     quotient_ranks,
 )
-from .partitions import check_int, check_ints, conjugate, normalize
-from .schur import SchurSummand, partitions_of, skew_decompose
+from .partitions import _conjugate, check_int, check_ints, contains, normalize
+from .schur import SchurSummand, _lr_fillings, _sorted_summands, partitions_of
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not_certified"
@@ -89,13 +89,14 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
     coeffs = a + (0,)
     alpha = normalize([coeffs[t] - coeffs[level] for t in range(level) for _ in range(ranks[t])])
     twist = (a[level - 1],) * level + a[level:]
-    summands = []
+    items = []
     if j <= sum(alpha):
         for rho in partitions_of(j, max_length=ranks[level]):
-            for nu, mult in skew_decompose(alpha, conjugate(rho)).items():
-                summands.append(SchurSummand((rho, nu), mult))
-    summands.sort(key=lambda s: s.shape)
-    return SchurComplexTerm(level, j, twist, tuple(summands))
+            # skew_decompose's walk, read behind this function's own checks
+            inner = _conjugate(rho)
+            if contains(alpha, inner):
+                items += [((rho, nu), mult) for nu, mult in _lr_fillings(alpha, inner).items()]
+    return SchurComplexTerm(level, j, twist, tuple(_sorted_summands(items)))
 
 
 def _min_square_configs(ranks: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:

@@ -26,6 +26,11 @@ def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()
     assert conjugate((2, 2)) == (2, 2)
+    # column j holds one cell of each row longer than j
+    for n in range(11):
+        for p in partitions_of(n):
+            columns = range(p[0] if p else 0)
+            assert conjugate(p) == tuple(sum(1 for row in p if row > j) for j in columns), p
 
 
 @given(partition_st)

@@ -10,6 +10,7 @@ from np_atlas.partitions import contains, normalize, pad, weyl_dimension
 from np_atlas.schur import (
     SchurSummand,
     _lr_fillings,
+    _lr_skeleton,
     _mult_in_product,
     _sub_diagrams,
     character_product,
@@ -204,6 +205,55 @@ def test_lr_walk_matches_plain_walk_on_product_shapes():
                     list(_lr_fillings_plain(lam, inner, max_length).items()), (lam, max_length)
                 cases += 1
     assert cases == 1706
+
+
+def _skeleton_key(lam, mu, max_length):
+    """The key of lam/mu's compiled slot tables, or None when a forced row needs a
+    value past max_length and the walk stops before compiling."""
+    mu = pad(mu, len(lam))
+    forced = mu.count(mu[0])  # mu is weakly decreasing, so its mu[0] entries lead
+    top = len(lam) if max_length is None else min(len(lam), max_length)
+    if forced > top and lam[top] > mu[0]:
+        return None
+    return lam[forced:], mu[forced - 1:], forced, top
+
+
+def test_shapes_sharing_a_skeleton_walk_alike():
+    # shapes that differ only in their forced rows share one compiled skeleton;
+    # each must still give the plain walk's contents, in its order, whether it
+    # compiles the skeleton or reads the other shape's
+    groups = {}
+    for lam in all_shapes(8)[1:]:  # () has no forced row
+        for mu in _sub_diagrams(lam, len(lam)):
+            for max_length in (None, 1, 2, 3):
+                key = _skeleton_key(lam, mu, max_length)
+                if key is not None:
+                    groups.setdefault(key, []).append((lam, mu, max_length))
+    pairs = [(key, members[:2]) for key, members in groups.items() if len(members) > 1]
+    for _, pair in pairs:
+        for order in (pair, pair[::-1]):
+            _lr_fillings.cache_clear()
+            _lr_skeleton.cache_clear()
+            for lam, mu, max_length in order:
+                assert list(_lr_fillings(lam, mu, max_length).items()) == \
+                    list(_lr_fillings_plain(lam, mu, max_length).items()), (lam, mu, max_length)
+            assert _lr_skeleton.cache_info().misses == 1, order
+    assert len(pairs) == 651
+    # caps inside the forced rows, and caps that cut the walked rows
+    assert any(top < forced for (_, _, forced, top), _ in pairs)
+    assert any(forced < top < forced + len(walked) for (walked, _, forced, top), _ in pairs)
+
+
+def test_products_share_skeletons():
+    # the 210 products of tensor_decompose over partitions of 9 and 5 walk 210
+    # shapes; the 7 walked nu and 9 forced-row counts give 63 skeletons
+    _lr_fillings.cache_clear()
+    _lr_skeleton.cache_clear()
+    for mu in partitions_of(9):
+        for nu in partitions_of(5):
+            tensor_decompose(mu, nu, len(mu) + len(nu))
+    assert _lr_fillings.cache_info().misses == 210
+    assert _lr_skeleton.cache_info().misses == 63
 
 
 def test_sub_diagrams_are_the_contained_partitions():

@@ -5,7 +5,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from np_atlas import syzygy
 from np_atlas.bott import _degree, bbw_cohomology, flag_dimension
@@ -16,8 +16,15 @@ from np_atlas.geometry import (
     parse_variety,
     quotient_ranks,
 )
+from np_atlas.partitions import conjugate, normalize
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
-from np_atlas.schur import filtration_quotients
+from np_atlas.schur import (
+    SchurSummand,
+    filtration_quotients,
+    partitions_of,
+    skew_decompose,
+    tensor_decompose,
+)
 from np_atlas.syzygy import (
     CERTIFIED,
     NOT_CERTIFIED,
@@ -325,6 +332,48 @@ def test_bcd_verdicts_are_monotone(query, l):
     # threshold's s = 1 row
     spec, _, p = query
     _assert_verdicts_monotone(spec, l, p, spec.family is not Family.C)
+
+
+@st.composite
+def schur_piece_query(draw):
+    """A C or BD catalog variety with n <= 10, a nef chain on it, a level of
+    its kernel filtration and a homological degree j <= 7."""
+    dims = suffix_sums(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                            .filter(lambda xs: sum(xs) <= 5)))
+    if draw(st.booleans()):
+        family, n = "sfl", 2 * dims[0] + 2 * draw(st.integers(0, 5 - dims[0]))
+    else:
+        family, n = "ofl", 2 * dims[0] + draw(st.integers(0, 10 - 2 * dims[0]))
+    token = f"{family}({','.join(map(str, dims))};{n})"
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(dims), max_size=len(dims)))
+    return (parse_variety(token).shape, suffix_sums(gaps),
+            draw(st.integers(1, len(dims))), draw(st.integers(1, 7)))
+
+
+@given(schur_piece_query())
+# alpha = (1, 1, 1): the conjugate (2, 1) of rho = (2, 1) has few enough rows
+# but does not fit, and walking alpha over it anyway would count a tableau
+@example((parse_variety("sfl(3;6)").shape, (1,), 1, 3))
+def test_schur_complex_term_is_the_sorted_skew_decompositions(query):
+    # the terms restated from the docstring: S^rho (x) S^nu for every rho of
+    # j with at most ranks[level] rows and every nu in the skew Schur function
+    # of alpha over the conjugate of rho, sorted by (rho, nu)
+    shape, a, level, j = query
+    ranks = quotient_ranks(shape)
+    coeffs = a + (0,)
+    alpha = normalize([coeffs[t] - coeffs[level] for t in range(level) for _ in range(ranks[t])])
+    rhos = list(partitions_of(j, max_length=ranks[level]))
+    expected = sorted((((rho, nu), mult) for rho in rhos
+                       for nu, mult in skew_decompose(alpha, conjugate(rho)).items()),
+                      key=lambda item: item[0])
+    term = schur_complex_term(shape, a, level, j)
+    assert term.twist == (a[level - 1],) * level + a[level:]
+    assert [(s.shape, s.multiplicity) for s in term.summands] == expected
+    # every producer of Schur summands returns SchurSummand records
+    rho = rhos[0]
+    records = (term.summands + tuple(tensor_decompose(rho, conjugate(rho), len(rho) + rho[0]))
+               + tuple(filtration_quotients(rho, ranks)))
+    assert all(type(s) is SchurSummand for s in records)
 
 
 @st.composite
