@@ -19,7 +19,7 @@ from itertools import chain, count, repeat
 from operator import add, lt, sub
 from typing import NamedTuple
 
-from .partitions import _shifted_dimension, check_int, check_ints, normalize, pad
+from .partitions import _shifted_dimension, check_int, check_ints, check_type, normalize, pad
 
 
 class BlockedWeight(namedtuple("BlockedWeight", "blocks")):
@@ -106,8 +106,9 @@ def flag_dimension(ranks: tuple[int, ...]) -> int:
 
 def bbw_cohomology(w: BlockedWeight) -> CohomologyResult:
     """All cohomology of the Schur-power bundle attached to a blocked weight."""
-    shifted = list(map(sub, chain.from_iterable(w.blocks), count(1)))
-    degree = _degree(shifted, map(len, w.blocks))
+    blocks = check_type("weight", w, BlockedWeight).blocks
+    shifted = list(map(sub, chain.from_iterable(blocks), count(1)))
+    degree = _degree(shifted, map(len, blocks))
     if degree is None:
         return CohomologyResult(vanishes=True)
     shifted.sort(reverse=True)

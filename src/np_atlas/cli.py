@@ -6,11 +6,15 @@ Exit codes: 0 success (or certified), 1 not certified / suite failure,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # argparse is imported where a parser is built, off the well-formed path
+    import argparse
 
 from .bott import BlockedWeight, bbw_cohomology
 from .geometry import parse_shape, parse_variety, quotient_ranks
@@ -66,7 +70,7 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def cmd_cohomology(args: argparse.Namespace) -> int:
+def cmd_cohomology(args: SimpleNamespace) -> int:
     shape = parse_shape(args.shape)
     blocks = _parse_block_list(args.weight)
     ranks = quotient_ranks(shape)
@@ -79,7 +83,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_np(args: argparse.Namespace) -> int:
+def cmd_np(args: SimpleNamespace) -> int:
     spec = parse_variety(args.spec)
     coeffs = _parse_int_list(args.L)
     cert = np_certify(spec, coeffs, args.p)
@@ -87,7 +91,7 @@ def cmd_np(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
 
 
-def cmd_np_threshold(args: argparse.Namespace) -> int:
+def cmd_np_threshold(args: SimpleNamespace) -> int:
     family = {"C": "C", "B": "BD", "D": "BD", "BD": "BD"}.get(args.family.upper())
     if family is None:
         raise ValueError(f"unknown family {args.family!r} (expected C, B, D, or BD)")
@@ -106,7 +110,7 @@ def cmd_np_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .verify import run_suite  # here, so other subcommands never load the suites
 
     summary = run_suite(args.suite, cases=args.cases, seed=args.seed)
@@ -145,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     carries no state from one main call to the next.  Its ``commands`` maps
     each subcommand name to that subcommand's own parser.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="np-atlas",
         description="Exact cohomology of homogeneous bundles and syzygy certification.",
@@ -167,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_table(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse returns for a table subcommand's plain argv, else None.
+def _read_table(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse returns for a table subcommand's plain argv, else None.
 
     Plain means every option of the subcommand exactly once, each as its full
     flag followed by a value that does not start with "-", and every typed
@@ -176,7 +182,8 @@ def _read_table(argv: list[str]) -> argparse.Namespace | None:
     argv the same way; anything else (help, abbreviations, "--flag=value",
     repeats, "--", a value like "-1", a bad value, a value that is not a
     str) is left to it, so help, usage and every error still come from
-    argparse.
+    argparse.  The attributes come in a SimpleNamespace, which the commands
+    read as they read argparse's Namespace; argparse itself stays unloaded.
     """
     entry = _TABLE.get(argv[0]) if argv else None
     if entry is None:
@@ -197,7 +204,7 @@ def _read_table(argv: list[str]) -> argparse.Namespace | None:
                 return None
         values[dest] = text
     # a repeated flag leaves another flag out, so it is caught above
-    return argparse.Namespace(command=argv[0], fn=fn, **values)
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_table(argv)
     if args is None:
+        import argparse
+
         parser = build_parser()
         try:
             # The top-level parser hands everything after a subcommand's name to

@@ -16,7 +16,7 @@ from operator import le, sub
 from typing import NamedTuple
 
 from .bott import BlockedWeight, CohomologyResult, bbw_cohomology
-from .partitions import check_int, check_ints, pad
+from .partitions import check_int, check_ints, check_type, pad
 from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import tensor_decompose
 
@@ -73,7 +73,7 @@ class FlagShape(namedtuple("FlagShape", "n dims")):
 
 def quotient_ranks(shape: FlagShape) -> tuple[int, ...]:
     """Ranks (r_1..r_{k+1}) of the successive tautological quotients."""
-    dims = (shape.n,) + shape.dims + (0,)
+    dims = (check_type("shape", shape, FlagShape).n,) + shape.dims + (0,)
     return tuple(map(sub, dims, dims[1:]))
 
 
@@ -102,10 +102,8 @@ class VarietySpec(namedtuple("VarietySpec", "family shape")):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, family: Family, shape: FlagShape):
-        if not isinstance(family, Family):
-            raise ValueError(f"family must be a Family, got {family!r}")
-        if not isinstance(shape, FlagShape):
-            raise ValueError(f"shape must be a FlagShape, got {shape!r}")
+        check_type("family", family, Family)
+        check_type("shape", shape, FlagShape)
         n, n1 = shape.n, shape.dims[0]
         if family is Family.C and n % 2:
             raise ValueError("type C needs even ambient dimension")
@@ -124,21 +122,18 @@ NEF_NOT_AMPLE = "nef_not_ample"
 NOT_NEF = "not_nef"
 
 
-def _least_gap(a: tuple[int, ...]) -> int:
-    """min(a_i - a_{i+1}, a_k) of a checked int coefficient tuple; 0 for ()."""
-    chain = a + (0,)
-    return min(map(sub, chain, chain[1:]), default=0)
-
-
 def positivity(a: tuple[int, ...]) -> str:
     """Classify a line bundle by its coefficient chain in the det-quotient basis."""
-    gap = _least_gap(check_ints("line-bundle coefficient", a))
+    a = check_ints("line-bundle coefficient", a)
+    # the least gap min(a_i - a_{i+1}, a_k); 0 for ()
+    gap = min(map(sub, a, a[1:] + (0,)), default=0)
     return AMPLE if gap > 0 else NEF_NOT_AMPLE if gap == 0 else NOT_NEF
 
 
 def _ample_gap(a: tuple[int, ...]) -> int:
-    """decompose_ample of a checked int coefficient tuple."""
-    gap = _least_gap(a)
+    """decompose_ample of a checked, non-empty int coefficient tuple: its
+    least gap min(a_i - a_{i+1}, a_k), once that is positive."""
+    gap = min(map(sub, a, a[1:] + (0,)))
     if gap <= 0:
         raise ValueError(f"line bundle {a} is not ample")
     return gap
@@ -146,7 +141,10 @@ def _ample_gap(a: tuple[int, ...]) -> int:
 
 def decompose_ample(a: tuple[int, ...]) -> int:
     """Largest l with L = H^l (x) M, H ample and M nef."""
-    return _ample_gap(check_ints("line-bundle coefficient", a))
+    a = check_ints("line-bundle coefficient", a)
+    if not a:
+        raise ValueError("line bundle () is not ample")
+    return _ample_gap(a)
 
 
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -218,7 +216,7 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     twisted by the line bundle, must have no cohomology in the matching
     degree.  The trace lists every Bott-Borel-Weil evaluation performed.
     """
-    a = check_line_bundle(spec.shape, a)
+    a = check_line_bundle(check_type("spec", spec, VarietySpec).shape, a)
     decompose_ample(a)  # refuses a bundle that is not ample
 
     if spec.family in G2_TWISTED:

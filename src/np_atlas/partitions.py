@@ -22,6 +22,14 @@ def check_int(name: str, value: int) -> int:
     return value
 
 
+def check_type(name: str, value, kind: type):
+    """value itself, once it is an instance of kind: a record argument is
+    refused before any of its fields is read, so a lookalike never passes."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def check_ints(name: str, values: Iterable[int]) -> tuple[int, ...]:
     """values as a tuple, once it is a sequence of entries of type exactly int.
 

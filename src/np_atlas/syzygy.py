@@ -8,7 +8,9 @@ one table names each square "C" or "BD" with its shift, and one maps each
 catalog family to its square's name.  The gap l of the queried bundle
 certifies (N_p) exactly when l is at least the threshold.  Each row is an
 integer numerator over 2s and comparisons cross-multiply integers, so the
-arithmetic stays exact and never uses floats.
+arithmetic stays exact and never uses floats.  One loop builds a threshold:
+it places the units of the least-square configs level by level, builds each
+row as its unit is placed, and keeps the first maximal row as it goes.
 A process builds each distinct row value once, from a bounded cache keyed by
 its integer numerator and denominator, and each threshold once per
 (family, ranks, p), together with its certificate trace: the rows within 1 of
@@ -16,10 +18,13 @@ it, as all-int tuples.  The certificates that ask for that threshold read both
 from the one cached entry, so the two sides of a gap share one trace.  One
 clause rule, read with the same shift, names the clause of a certified C or BD
 query, again by cross-multiplied integer tests.  A certificate validates its
-input once, at its own boundary: p and the line bundle are checked there, and
-the gap is read off the checked coefficients; the tail ranks come from a
-FlagShape, whose checks already make them positive ints, so it reads the
-cached threshold without np_threshold's checks of p and the ranks.
+input once, at its own boundary: the spec must be a VarietySpec, p and the
+line bundle are checked there, and the gap is read off the checked
+coefficients; the tail ranks are the differences of the FlagShape's dims,
+with 0 after the last, which that record's checks already make positive
+ints, so it reads the cached threshold without np_threshold's checks of p
+and the ranks.  Threshold and certificate records are built in C from their
+field tuples, with no Python frame per record.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
 sweep that evaluates each distinct Koszul twist once.  It reads only the
 twist's degree from the kernel in bott, on plain ints: no weight record and no
@@ -51,7 +56,7 @@ from .geometry import (
     positivity,
     quotient_ranks,
 )
-from .partitions import _conjugate, check_int, check_ints, contains, normalize
+from .partitions import _conjugate, check_int, check_ints, check_type, contains, normalize
 from .schur import SchurSummand, _lr_fillings, _sorted_summands, partitions_of
 
 CERTIFIED = "certified"
@@ -78,7 +83,7 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
     a[:level] replaced by a[level - 1]; alpha repeats c[t] - c[level] over
     the rank of each quotient t < level.
     """
-    if not 1 <= check_int("level", level) <= shape.k:
+    if not 1 <= check_int("level", level) <= check_type("shape", shape, FlagShape).k:
         raise ValueError(f"level {level} outside 1..{shape.k}")
     if check_int("homological degree j", j) < 1:
         raise ValueError("homological degree must be >= 1")
@@ -97,29 +102,6 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
             if contains(alpha, inner):
                 items += [((rho, nu), mult) for nu, mult in _lr_fillings(alpha, inner).items()]
     return SchurComplexTerm(level, j, twist, tuple(_sorted_summands(items)))
-
-
-def _min_square_configs(ranks: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
-    """For each total s, a config minimizing sum(s_j^2) under the rank caps.
-
-    Spreading units as evenly as the caps allow minimizes the square sum, so
-    the maximum of the threshold expression over all configurations is
-    attained on one of these.  Units are placed level by level: level L adds
-    one unit to each block of rank above L, in index order.  That is the
-    greedy choice of the least-filled open block, lowest index on ties, and
-    each unit raises the square sum by 2L + 1.
-    """
-    config = [0] * len(ranks)
-    out = []
-    s = sq = 0
-    for level in range(max(ranks)):
-        for i, r in enumerate(ranks):
-            if r > level:
-                config[i] += 1
-                s += 1
-                sq += 2 * level + 1
-                out.append((s, tuple(config), sq))
-    return out
 
 
 class ThresholdResult(NamedTuple):
@@ -154,6 +136,11 @@ def _row_value(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+# Builds a threshold from its (value, witness_config, per_s) triple in C, where
+# the NamedTuple's __new__ runs a Python frame per record.
+_threshold_result = functools.partial(tuple.__new__, ThresholdResult)
+
+
 # Behind np_threshold's checks, or np_certify's p check and a FlagShape's tail
 # ranks, so 2.0 and True never reach the cache, where they would hash like 2
 # and 1.  A certificate asks for the threshold its caller has usually just
@@ -161,25 +148,45 @@ def _row_value(num: int, den: int) -> Fraction:
 @functools.lru_cache(maxsize=256)
 def _threshold(family: str, ranks: tuple[int, ...], p: int) -> tuple[ThresholdResult, tuple]:
     """The threshold and its certificate trace: the rows whose value is above
-    the threshold minus 1, as (s, config, num, den) in lowest terms."""
+    the threshold minus 1, as (s, config, num, den) in lowest terms.
+
+    Row s holds a config of total s with the least square sum sum(s_j^2)
+    under the rank caps.  The expression falls as the square sum grows, so
+    the maximum over all configurations is attained on one of these rows.
+    Spreading units as evenly as the caps allow gives that least sum.  The
+    units are placed level by level: level L adds one unit to each block of
+    rank above L, in index order.  That is the greedy choice of the
+    least-filled open block, lowest index on ties, and each unit raises the
+    square sum by 2L + 1.  Each row is built as its unit is placed, and the
+    first maximal row is kept by cross-multiplying integers.
+    """
     shift = _SQUARES[family][1]
+    config = [0] * len(ranks)
     per_s = []
     nums = []
-    best = None  # the first maximal row, of value thr_num / thr_den
-    for s, config, sq in _min_square_configs(ranks):
-        # (p+1)/s + (s-1)/2 + shift - sq/s over the common denominator 2s
-        num, den = 2 * (p + 1) + s * (s - 1 + 2 * shift) - 2 * sq, 2 * s
-        row = (s, config, _row_value(num, den))
-        per_s.append(row)
-        nums.append(num)
-        if best is None or num * thr_den > thr_num * den:
-            best, thr_num, thr_den = row, num, den
-    assert best is not None
+    s = sq = 0
+    base, lift = 2 * (p + 1), 2 * shift - 1
+    # the s = 1 row, (p + shift) / 1, is positive, so it replaces this start
+    thr_num, thr_den = 0, 1
+    for level in range(max(ranks)):
+        step = 2 * level + 1
+        for i, r in enumerate(ranks):
+            if r > level:
+                config[i] += 1
+                s += 1
+                sq += step
+                # (p+1)/s + (s-1)/2 + shift - sq/s over the common denominator 2s
+                num, den = base + s * (s + lift) - 2 * sq, 2 * s
+                row = (s, tuple(config), _row_value(num, den))
+                per_s.append(row)
+                nums.append(num)
+                if num * thr_den > thr_num * den:
+                    best, thr_num, thr_den = row, num, den
     below = thr_num - thr_den  # value > thr - 1, cross-multiplied
     trace = tuple((s, config, value.numerator, value.denominator)
                   for (s, config, value), num in zip(per_s, nums)
                   if num * thr_den > below * 2 * s)
-    return ThresholdResult(best[2], best[1], tuple(per_s)), trace
+    return _threshold_result((best[2], best[1], tuple(per_s))), trace
 
 
 class NpCertificate(NamedTuple):
@@ -197,18 +204,22 @@ class NpCertificate(NamedTuple):
         return self.verdict == CERTIFIED
 
     def to_json_dict(self) -> dict:
+        # one unpacking and one ratio call read every field
+        query, verdict, clause, threshold, witness_config, trace = self
+        num, den = threshold.as_integer_ratio()
         return {
             "schema_version": SCHEMA_VERSION,
-            "query": self.query,
-            "verdict": self.verdict,
-            "clause": self.clause,
-            "threshold": {
-                "num": self.threshold.numerator,
-                "den": self.threshold.denominator,
-            },
-            "witness_config": list(self.witness_config),
-            "trace": list(self.trace),
+            "query": query,
+            "verdict": verdict,
+            "clause": clause,
+            "threshold": {"num": num, "den": den},
+            "witness_config": list(witness_config),
+            "trace": list(trace),
         }
+
+
+# Builds a certificate from its six fields in C, as _threshold_result does.
+_np_certificate = functools.partial(tuple.__new__, NpCertificate)
 
 
 def _clause_for(family: str, n1: int, k: int, l: int, p: int) -> str:
@@ -242,28 +253,31 @@ def _certificate(spec: VarietySpec, a: tuple[int, ...], l: int, p: int, clause: 
         "p": p,
     }
     verdict = NOT_CERTIFIED if clause is None else CERTIFIED
-    return NpCertificate(query, verdict, clause or "none", threshold, witness_config, trace)
+    return _np_certificate((query, verdict, clause or "none", threshold, witness_config, trace))
 
 
 def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
-    if spec.family in G2_TWISTED:
+    if check_type("spec", spec, VarietySpec).family in G2_TWISTED:
         return g2_np_certify(spec, a, p)
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     a = check_line_bundle(spec.shape, a)
     l = _ample_gap(a)
-    if spec.family is Family.A:
+    family = _DEFINING_SQUARE.get(spec.family)
+    if family is None:  # past the G2 varieties, only type A has no defining square
         return _certificate(spec, a, l, p, "A:gap-at-least-p" if l >= p else None,
                             Fraction(p), (), ())
 
-    # p is checked above, and a FlagShape's tail ranks are positive ints
-    family = _DEFINING_SQUARE[spec.family]
-    thr, trace = _threshold(family, quotient_ranks(spec.shape)[1:], p)
-    value = thr.value
-    clause = (_clause_for(family, spec.shape.dims[0], spec.shape.k, l, p)
-              if l * value.denominator >= value.numerator else None)
-    return _certificate(spec, a, l, p, clause, value, thr.witness_config, trace)
+    # p is checked above, and a FlagShape's dims are strictly decreasing
+    # positive ints, so its tail ranks dims[i] - dims[i+1] (with 0 after the
+    # last) are positive ints
+    dims = spec.shape.dims
+    thr, trace = _threshold(family, tuple(map(sub, dims, dims[1:] + (0,))), p)
+    value, witness_config, _ = thr
+    num, den = value.as_integer_ratio()
+    clause = _clause_for(family, dims[0], len(dims), l, p) if l * den >= num else None
+    return _certificate(spec, a, l, p, clause, value, witness_config, trace)
 
 
 def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
@@ -279,7 +293,7 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     """
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
-    if spec.family not in G2_TWISTED:
+    if check_type("spec", spec, VarietySpec).family not in G2_TWISTED:
         raise ValueError("exhaustive certification covers only the two G2 varieties")
     a = check_line_bundle(spec.shape, a)
     l = _ample_gap(a)

@@ -213,12 +213,29 @@ def _threshold_expression(family: str, p: int, s: int, sq: int) -> Fraction:
     return Fraction(p + 1, s) + half - Fraction(sq, s)
 
 
+def _rows_hold(family: str, ranks: tuple[int, ...], p: int, per_s, min_sq: dict) -> bool:
+    """Each per_s row is row s = 1..sum(ranks) in order, with a config of total
+    s within the rank caps, of the least square sum for s, and the value of
+    the threshold expression there."""
+    if [row[0] for row in per_s] != list(range(1, sum(ranks) + 1)):
+        return False
+    for s, config, value in per_s:
+        sq = sum(x * x for x in config)
+        if (len(config) != len(ranks) or sum(config) != s or sq != min_sq[s]
+                or not all(0 <= x <= r for x, r in zip(config, ranks))
+                or value != _threshold_expression(family, p, s, sq)):
+            return False
+    return True
+
+
 def suite_threshold_oracle() -> dict:
     """np_threshold is the maximum of its expression over every configuration.
 
     Brute force over all 0 <= s_i <= r_i with s >= 1, for rank tuples of
     length <= 4 with parts <= 4 and p = 1..10: an independent check on the
-    minimal-square configurations np_threshold searches instead.
+    minimal-square configurations np_threshold searches instead.  Every row
+    it reports is checked too, so its greedy placement of units is checked
+    against the brute-force least square sum of each total s.
     """
     failures = []
     checked = 0
@@ -239,7 +256,8 @@ def suite_threshold_oracle() -> dict:
                     w = thr.witness_config
                     at_witness = _threshold_expression(family, p, sum(w), sum(x * x for x in w))
                     checked += 1
-                    if thr.value != best or at_witness != best or w not in configs:
+                    if (thr.value != best or at_witness != best or w not in configs
+                            or not _rows_hold(family, ranks, p, thr.per_s, min_sq)):
                         failures.append((family, ranks, p))
     return {
         "suite": "threshold-oracle",

@@ -9,8 +9,12 @@ call must raise ValueError.  In the same way each plain tuple argument, and
 each plain tuple inside one, is replaced by the int 3, and each string leaf
 by the int 3, None, a list holding it and its bytes.  The descent tests
 type(value) is tuple, because the library's records are tuple subclasses.
-A new exported callable fails the test until it has an entry.
+Each record argument is replaced by a string, None, the int 3 and the plain
+tuple of its fields.  A new exported callable fails the test until it has an
+entry.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -95,6 +99,14 @@ def _non_strings(value):
                 yield value[:i] + (bad,) + value[i + 1:]
 
 
+def _non_records(args):
+    """Copies of an argument tuple with one record argument replaced by a non-record."""
+    for i, item in enumerate(args):
+        if isinstance(item, (BlockedWeight, FlagShape, VarietySpec)):
+            for bad in (str(item), None, 3, tuple(item)):
+                yield args[:i] + (bad,) + args[i + 1:]
+
+
 def _accepted(fn, variants):
     """The variants that fn does not refuse with ValueError."""
     accepted = []
@@ -137,3 +149,20 @@ def test_string_arguments_refuse_non_strings(name):
     fn(*args)
     accepted = _accepted(fn, _non_strings(args))
     assert not accepted, f"{name} accepted {accepted}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items()
+                                        if args is not None and any(_non_records(args))))
+def test_record_arguments_refuse_non_records(name):
+    fn = getattr(np_atlas, name)
+    args = CALLS[name]
+    fn(*args)
+    accepted = _accepted(fn, _non_records(args))
+    assert not accepted, f"{name} accepted {accepted}"
+
+
+def test_a_record_lookalike_is_not_certified_from():
+    # it has every attribute np_certify reads, and a bool among its dims
+    lookalike = SimpleNamespace(family=Family.C, shape=SimpleNamespace(n=6, dims=(3, True), k=2))
+    with pytest.raises(ValueError, match="spec must be a VarietySpec"):
+        np_atlas.np_certify(lookalike, (3, 1), 1)

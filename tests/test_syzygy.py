@@ -141,10 +141,12 @@ def _p0(ranks):
 
     Row s = 1 is exactly p + shift, and row s is at most p + shift iff
     p(s - 1) >= 1 + s(s - 1)/2 - sq_min(s), with sq_min(s) the least square
-    sum of a configuration of total s.
+    sum of a configuration of total s: the square sum of row s's config,
+    which depends on the ranks alone.
     """
-    return max([1] + [-(-(1 + s * (s - 1) // 2 - sq) // (s - 1))
-                      for s, _, sq in syzygy._min_square_configs(ranks) if s >= 2])
+    rows = np_threshold("C", ranks, 1).per_s
+    return max([1] + [-(-(1 + s * (s - 1) // 2 - sum(x * x for x in config)) // (s - 1))
+                      for s, config, _ in rows if s >= 2])
 
 
 def test_threshold_is_p_plus_shift_from_p0_on():

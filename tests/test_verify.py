@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from np_atlas import cli, verify
 from np_atlas.bott import BlockedWeight, InversionBoundReport, bbw_cohomology, flag_dimension
 from np_atlas.geometry import FlagShape, quotient_ranks
+from np_atlas.syzygy import np_threshold
 from np_atlas.verify import (
     run_suite,
     serre_dual,
@@ -20,6 +22,34 @@ def test_threshold_oracle():
     assert summary["pass"], summary["failures"]
     # C and BD, 340 rank tuples of length <= 4 with parts <= 4, p = 1..10
     assert summary["checked"] == 2 * 340 * 10
+
+
+def test_threshold_oracle_checks_every_row(monkeypatch):
+    thr = np_threshold("C", (2, 1), 3)
+    assert thr.per_s == ((1, (1, 0), 3), (2, (1, 1), Fraction(3, 2)), (3, (2, 1), Fraction(2, 3)))
+    min_sq = {1: 1, 2: 2, 3: 5}
+    assert verify._rows_hold("C", (2, 1), 3, thr.per_s, min_sq)
+    first, second, third = thr.per_s
+    bad = [
+        (first, third),  # row 2 missing
+        (second, first, third),  # out of order
+        (first, (2, (2, 0), Fraction(3, 2)), third),  # not the least square sum
+        (first, second, (3, (1, 2), Fraction(2, 3))),  # past a rank cap
+        (first, second, (3, (2, 1, 0), Fraction(2, 3))),  # a config of the wrong length
+        (first, (2, (1, 1), Fraction(5, 2)), third),  # a value off the expression
+    ]
+    for per_s in bad:
+        assert not verify._rows_hold("C", (2, 1), 3, per_s, min_sq), per_s
+
+    # the suite reads every row: one wrong non-maximal row fails it
+    def wrong_last_row(family, ranks, p):
+        thr = np_threshold(family, ranks, p)
+        s, config, value = thr.per_s[-1]
+        return thr._replace(per_s=thr.per_s[:-1] + ((s, config, value + 1),))
+
+    monkeypatch.setattr(verify, "np_threshold", wrong_last_row)
+    summary = suite_threshold_oracle()
+    assert summary["pass"] is False and summary["checked"] == 2 * 340 * 10
 
 
 def test_seeded_suites_reject_zero_cases():
