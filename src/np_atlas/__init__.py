@@ -14,10 +14,8 @@ from .geometry import (
     FlagShape,
     VarietySpec,
     canonical_weight,
-    decompose_ample,
     parse_shape,
     parse_variety,
-    positivity,
     quotient_ranks,
     restriction_surjectivity_check,
 )

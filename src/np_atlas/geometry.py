@@ -1,4 +1,5 @@
-"""Flag shapes, line-bundle positivity, and the isotropic-variety catalog.
+"""Flag shapes, the least-gap rule for ample and nef line bundles, and the
+isotropic-variety catalog.
 
 Everything geometric happens on an ambient type-A flag variety: the isotropic
 varieties of types B/C/D and the G2 family are carried as a shape plus the
@@ -117,34 +118,17 @@ class VarietySpec(namedtuple("VarietySpec", "family shape")):
         return tuple.__new__(cls, (family, shape))
 
 
-AMPLE = "ample"
-NEF_NOT_AMPLE = "nef_not_ample"
-NOT_NEF = "not_nef"
+def _least_gap(a: tuple[int, ...], kind: str = "ample") -> int:
+    """The least gap min(a_i - a_{i+1}, a_k) of a checked, non-empty int
+    coefficient tuple: the largest l with L = H^l (x) M, H ample and M nef.
 
-
-def positivity(a: tuple[int, ...]) -> str:
-    """Classify a line bundle by its coefficient chain in the det-quotient basis."""
-    a = check_ints("line-bundle coefficient", a)
-    # the least gap min(a_i - a_{i+1}, a_k); 0 for ()
-    gap = min(map(sub, a, a[1:] + (0,)), default=0)
-    return AMPLE if gap > 0 else NEF_NOT_AMPLE if gap == 0 else NOT_NEF
-
-
-def _ample_gap(a: tuple[int, ...]) -> int:
-    """decompose_ample of a checked, non-empty int coefficient tuple: its
-    least gap min(a_i - a_{i+1}, a_k), once that is positive."""
+    kind is "ample", which refuses a gap below 1, or "nef", which refuses one
+    below 0.
+    """
     gap = min(map(sub, a, a[1:] + (0,)))
-    if gap <= 0:
-        raise ValueError(f"line bundle {a} is not ample")
+    if gap < (1 if kind == "ample" else 0):
+        raise ValueError(f"line bundle {a} is not {kind}")
     return gap
-
-
-def decompose_ample(a: tuple[int, ...]) -> int:
-    """Largest l with L = H^l (x) M, H ample and M nef."""
-    a = check_ints("line-bundle coefficient", a)
-    if not a:
-        raise ValueError("line bundle () is not ample")
-    return _ample_gap(a)
 
 
 def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,27 +154,17 @@ def _g2_column(j: int) -> tuple[int, ...]:
     return pad((1,) * j, 5)
 
 
-def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int,
-                           tail: tuple[int, int] = (0, 0)) -> BlockedWeight:
-    """Blocked weight of the j-th G2 Koszul twist tensored with the line bundle.
-
-    tail twists the blocks after the rank-5 one: on G2_X it is the rank-2
-    block (a1, a2) itself; on G2_P, (t, s) adds t to the second coefficient's
-    block and makes s the last block.
-    """
+def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int) -> BlockedWeight:
+    """Blocked weight of the j-th G2 Koszul twist tensored with the line bundle."""
     if spec.family not in G2_TWISTED:
         raise ValueError(f"{spec.family.value} is not cut out by the G2 Koszul twist")
     if not 0 <= check_int("j", j) <= 5:
         raise ValueError("G2 Koszul terms exist for 0 <= j <= 5")
     a = check_line_bundle(spec.shape, a)
-    tail = check_ints("tail", tail)
-    if len(tail) != 2:
-        raise ValueError(f"tail must have two entries, got {tail}")
     block1 = tuple(x + a[0] - j for x in _g2_column(j))
-    x, y = tail
     if spec.family is Family.G2_X:
-        return BlockedWeight((block1, (x, y)))
-    return BlockedWeight((block1, (a[1] + x,), (y,)))
+        return BlockedWeight((block1, (0, 0)))
+    return BlockedWeight((block1, (a[1],), (0,)))
 
 
 class SurjectivityEntry(NamedTuple):
@@ -217,7 +191,7 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     degree.  The trace lists every Bott-Borel-Weil evaluation performed.
     """
     a = check_line_bundle(check_type("spec", spec, VarietySpec).shape, a)
-    decompose_ample(a)  # refuses a bundle that is not ample
+    _least_gap(a)
 
     if spec.family in G2_TWISTED:
         rows = ((j, _g2_column(j), _g2_column(j), 1, g2_koszul_twist_weight(spec, a, j))

@@ -42,18 +42,15 @@ from typing import NamedTuple
 
 from .bott import _degree, flag_dimension
 from .geometry import (
-    AMPLE,
     G2_TWISTED,
     Family,
     FlagShape,
-    NEF_NOT_AMPLE,
     VarietySpec,
     _DEFINING_SQUARE,
     _SQUARES,
-    _ample_gap,
+    _least_gap,
     check_line_bundle,
     g2_koszul_twist_weight,
-    positivity,
     quotient_ranks,
 )
 from .partitions import _conjugate, check_int, check_ints, check_type, contains, normalize
@@ -88,8 +85,7 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
     if check_int("homological degree j", j) < 1:
         raise ValueError("homological degree must be >= 1")
     a = check_line_bundle(shape, a)
-    if positivity(a) not in (AMPLE, NEF_NOT_AMPLE):
-        raise ValueError(f"line bundle {a} is not nef")
+    _least_gap(a, "nef")
     ranks = quotient_ranks(shape)
     coeffs = a + (0,)
     alpha = normalize([coeffs[t] - coeffs[level] for t in range(level) for _ in range(ranks[t])])
@@ -263,7 +259,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     a = check_line_bundle(spec.shape, a)
-    l = _ample_gap(a)
+    l = _least_gap(a)
     family = _DEFINING_SQUARE.get(spec.family)
     if family is None:  # past the G2 varieties, only type A has no defining square
         return _certificate(spec, a, l, p, "A:gap-at-least-p" if l >= p else None,
@@ -285,18 +281,20 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
 
     Row (j, i, t, tail) reads the Bott-Borel-Weil degree of the j-th Koszul
     twist with a tail of total t >= i: G2_X forbids degree 1 + j - i + t and
-    G2_P any degree above j - i + t.  A degree counts inversions between
-    blocks, so it is at most the ambient dimension dim.  Past t = i + dim + 5
-    the G2_X degree is >= j + dim + 7 and the G2_P bound >= j + dim + 6, both
-    above dim, so the rows there are vacuous and the sweep stops.  Each twist
-    is evaluated once.
+    G2_P any degree above j - i + t.  A tail twists the blocks after the
+    rank-5 one: on G2_X it is the rank-2 block itself; on G2_P, (t, s) adds t
+    to the a[1] block and makes s the last block.  A degree counts inversions
+    between blocks, so it is at most the ambient dimension dim.  Past
+    t = i + dim + 5 the G2_X degree is >= j + dim + 7 and the G2_P bound
+    >= j + dim + 6, both above dim, so the rows there are vacuous and the
+    sweep stops.  Each twist is evaluated once.
     """
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
     if check_type("spec", spec, VarietySpec).family not in G2_TWISTED:
         raise ValueError("exhaustive certification covers only the two G2 varieties")
     a = check_line_bundle(spec.shape, a)
-    l = _ample_gap(a)
+    l = _least_gap(a)
 
     dim = flag_dimension(quotient_ranks(spec.shape))
     g2x = spec.family is Family.G2_X

@@ -47,7 +47,6 @@ CALLS = {
     "bbw_cohomology": (BlockedWeight(((2, 1), (0,))),),
     "canonical_weight": (SHAPE,),
     "conjugate": ((3, 1),),
-    "decompose_ample": ((3, 1),),
     "filtration_quotients": ((2, 1), (1, 2)),
     "flag_dimension": ((2, 1, 3),),
     "g2_np_certify": (G2P, (2, 1), 1),
@@ -57,7 +56,6 @@ CALLS = {
     "np_threshold": ("C", (2, 1), 1),
     "parse_shape": ("fl(3,1;6)",),
     "parse_variety": ("sfl(3,1;6)",),
-    "positivity": ((3, 1),),
     "quotient_ranks": (SHAPE,),
     "restriction_surjectivity_check": (G2X, (1,)),
     "schur_character": ((2, 1), 2),

@@ -1,30 +1,30 @@
 import copy
 import pickle
+import re
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
+
+from np_atlas import geometry
 
 from np_atlas.bott import BlockedWeight, bbw_cohomology, flag_dimension, inversion_bound
 from np_atlas.geometry import (
-    AMPLE,
     Family,
     FlagShape,
-    NEF_NOT_AMPLE,
-    NOT_NEF,
     VarietySpec,
     canonical_weight,
     check_line_bundle,
-    decompose_ample,
     g2_koszul_twist_weight,
     parse_shape,
     parse_variety,
-    positivity,
     quotient_ranks,
     restriction_surjectivity_check,
 )
 from np_atlas.partitions import pad, weyl_dimension
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
 from np_atlas.schur import schur_character
+from np_atlas.syzygy import np_certify, schur_complex_term
 from np_atlas.verify import RESTRICTION_CATALOG
 
 
@@ -54,28 +54,6 @@ def test_quotient_ranks_examples():
     for n in range(2, 9):
         for d in range(1, n):
             assert sum(quotient_ranks(FlagShape(n, (d,)))) == n
-
-
-def test_positivity_examples():
-    assert positivity((3, 1)) == AMPLE
-    assert positivity((1, 1)) == NEF_NOT_AMPLE
-    assert positivity((0, 1)) == NOT_NEF
-    assert positivity((0,)) == NEF_NOT_AMPLE
-    assert positivity((2, 1, 0)) == NEF_NOT_AMPLE
-    assert positivity((2, 0, 1)) == NOT_NEF
-    assert positivity((1, -1)) == NOT_NEF
-
-
-def test_decompose_ample_examples():
-    assert decompose_ample((3, 1)) == 1
-    for p in range(1, 6):
-        assert decompose_ample((2 * p, p)) == p
-    assert decompose_ample((1,)) == 1
-    with pytest.raises(ValueError):
-        decompose_ample((1, 1))
-    with pytest.raises(ValueError, match="is not ample"):
-        decompose_ample(())
-    assert positivity(()) == NEF_NOT_AMPLE
 
 
 def test_canonical_weight_projective_spaces():
@@ -264,10 +242,6 @@ def test_degrees_and_ranks_must_be_ints():
         lambda: flag_dimension((1.5, 2)),
         lambda: g2_koszul_twist_weight(parse_variety("g2x"), (2,), 1.0),
         lambda: g2_koszul_twist_weight(parse_variety("g2x"), (2,), True),
-        lambda: decompose_ample((2.5, 1.5)),
-        lambda: decompose_ample((True,)),
-        lambda: positivity((3, 1.5)),
-        lambda: positivity((True, 0)),
         lambda: schur_character((1,), 2.0),
         lambda: schur_character((1,), True),
     ]
@@ -284,19 +258,9 @@ def test_g2_koszul_twist_weight():
     gx = parse_variety("g2x")
     w = g2_koszul_twist_weight(gx, (4,), 2)
     assert w.blocks == ((3, 3, 2, 2, 2), (0, 0))
-    w = g2_koszul_twist_weight(gx, (4,), 2, (3, 1))
-    assert w.blocks == ((3, 3, 2, 2, 2), (3, 1))
     gp = parse_variety("g2p")
     w = g2_koszul_twist_weight(gp, (3, 1), 1)
     assert w.blocks == ((3, 2, 2, 2, 2), (1,), (0,))
-    w = g2_koszul_twist_weight(gp, (3, 1), 1, (2, 5))
-    assert w.blocks == ((3, 2, 2, 2, 2), (3,), (5,))
-    with pytest.raises(ValueError, match="tail values must come as a sequence, got 3"):
-        g2_koszul_twist_weight(gx, (4,), 2, 3)
-    with pytest.raises(ValueError, match=r"tail must have two entries, got \(1, 2, 3\)"):
-        g2_koszul_twist_weight(gp, (3, 1), 1, (1, 2, 3))
-    with pytest.raises(ValueError, match="tail must be an int"):
-        g2_koszul_twist_weight(gx, (4,), 2, (1, 2.0))
     for j in (-1, 6):
         with pytest.raises(ValueError, match="G2 Koszul terms exist for 0 <= j <= 5"):
             g2_koszul_twist_weight(gx, (4,), j)
@@ -326,3 +290,63 @@ def test_line_bundle_arity():
             restriction_surjectivity_check(parse_variety(token), a)
     with pytest.raises(ValueError, match="expected 1 line-bundle coefficients"):
         g2_koszul_twist_weight(parse_variety("g2x"), (2, 1), 1)
+
+
+def _least_gap_by_loop(a):
+    """min(a_i - a_{i+1}, a_k), read off a + (0,) one neighbour pair at a time."""
+    c = a + (0,)
+    gap = c[0] - c[1]
+    for i in range(1, len(a)):
+        if c[i] - c[i + 1] < gap:
+            gap = c[i] - c[i + 1]
+    return gap
+
+
+LEAST_GAP_TOKENS = ("sfl(2,1;6)", "ofl(2;7)", "fl(2,1;4)", "g2x", "g2p")
+
+
+@st.composite
+def spec_and_bundle(draw):
+    spec = parse_variety(draw(st.sampled_from(LEAST_GAP_TOKENS)))
+    a = tuple(draw(st.lists(st.integers(-3, 6), min_size=spec.shape.k, max_size=spec.shape.k)))
+    return spec, a
+
+
+@given(spec_and_bundle())
+def test_ample_and_nef_follow_the_least_gap(query):
+    # np_certify and the restriction check refuse exactly the gaps below 1,
+    # schur_complex_term exactly the gaps below 0
+    spec, a = query
+    gap = _least_gap_by_loop(a)
+    if gap < 1:
+        with pytest.raises(ValueError, match=re.escape(f"line bundle {a} is not ample")):
+            np_certify(spec, a, 1)
+    else:
+        assert np_certify(spec, a, 1).query["gap"] == gap
+    if spec.family is not Family.A:
+        if gap < 1:
+            with pytest.raises(ValueError, match=re.escape(f"line bundle {a} is not ample")):
+                restriction_surjectivity_check(spec, a)
+        else:
+            restriction_surjectivity_check(spec, a)
+    if gap < 0:
+        with pytest.raises(ValueError, match=re.escape(f"line bundle {a} is not nef")):
+            schur_complex_term(spec.shape, a, 1, 1)
+    else:
+        schur_complex_term(spec.shape, a, 1, 1)
+
+
+def test_each_line_bundle_is_checked_once(monkeypatch):
+    calls = []
+    check_ints = geometry.check_ints
+
+    def counted(what, values):
+        calls.append(what)
+        return check_ints(what, values)
+
+    monkeypatch.setattr(geometry, "check_ints", counted)
+    for call in (lambda: schur_complex_term(FlagShape(6, (3, 1)), (3, 1), 1, 1),
+                 lambda: restriction_surjectivity_check(parse_variety("sfl(2,1;6)"), (2, 1))):
+        calls.clear()
+        call()
+        assert calls.count("line-bundle coefficient") == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from np_atlas import syzygy
-from np_atlas.bott import _degree, bbw_cohomology, flag_dimension
+from np_atlas.bott import BlockedWeight, _degree, bbw_cohomology, flag_dimension
 from np_atlas.geometry import (
     Family,
     FlagShape,
@@ -552,18 +552,24 @@ def test_g2_sweep_evaluates_each_twist_once(monkeypatch):
 
 
 def _g2_rows(spec, a, j, i, totals):
-    """Trace rows (j, i, tail total t) of the G2 sweep, restated row by row."""
+    """Trace rows (j, i, tail total t) of the G2 sweep, restated row by row.
+
+    Each row's weight is the untailed twist's rank-5 block followed by its own
+    tail: on G2_X the rank-2 block (a1, t - a1), on G2_P the blocks
+    (a[1] + t - s,) and (s,).
+    """
+    block1 = g2_koszul_twist_weight(spec, a, j).blocks[0]
     rows = []
     for t in totals:
         d = j - i + t
         if spec.family is Family.G2_X:
             for a1 in range((t + 1) // 2, t + 1):
-                res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (a1, t - a1)))
+                res = bbw_cohomology(BlockedWeight((block1, (a1, t - a1))))
                 ok = res.vanishes or res.degree != d + 1
                 rows.append((j, i, t, a1, t - a1, d + 1, "ok" if ok else "violation"))
         else:
             for s in range(t + 1):
-                res = bbw_cohomology(g2_koszul_twist_weight(spec, a, j, (t - s, s)))
+                res = bbw_cohomology(BlockedWeight((block1, (a[1] + t - s,), (s,))))
                 ok = res.vanishes or res.degree <= d
                 rows.append((j, i, s, t - s, d, "ok" if ok else "violation"))
     return rows
