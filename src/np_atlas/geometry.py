@@ -154,17 +154,12 @@ def _g2_column(j: int) -> tuple[int, ...]:
     return pad((1,) * j, 5)
 
 
-def g2_koszul_twist_weight(spec: VarietySpec, a: tuple[int, ...], j: int) -> BlockedWeight:
-    """Blocked weight of the j-th G2 Koszul twist tensored with the line bundle."""
-    if spec.family not in G2_TWISTED:
-        raise ValueError(f"{spec.family.value} is not cut out by the G2 Koszul twist")
-    if not 0 <= check_int("j", j) <= 5:
-        raise ValueError("G2 Koszul terms exist for 0 <= j <= 5")
-    a = check_line_bundle(spec.shape, a)
-    block1 = tuple(x + a[0] - j for x in _g2_column(j))
-    if spec.family is Family.G2_X:
-        return BlockedWeight((block1, (0, 0)))
-    return BlockedWeight((block1, (a[1],), (0,)))
+def _g2_twists(spec: VarietySpec, a: tuple[int, ...]) -> list[BlockedWeight]:
+    """Blocked weights of the G2 Koszul twists j = 0..5 tensored with the line
+    bundle, for a G2_X or G2_P spec and a line bundle its caller has checked."""
+    tail = ((0, 0),) if spec.family is Family.G2_X else ((a[1],), (0,))
+    return [BlockedWeight((tuple(x + a[0] - j for x in _g2_column(j)),) + tail)
+            for j in range(6)]
 
 
 class SurjectivityEntry(NamedTuple):
@@ -194,8 +189,8 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     _least_gap(a)
 
     if spec.family in G2_TWISTED:
-        rows = ((j, _g2_column(j), _g2_column(j), 1, g2_koszul_twist_weight(spec, a, j))
-                for j in range(1, 6))
+        rows = ((j, _g2_column(j), _g2_column(j), 1, w)
+                for j, w in enumerate(_g2_twists(spec, a)[1:], 1))
     else:
         if spec.family not in _DEFINING_SQUARE:
             raise ValueError(f"{spec.family.value} has no wedge- or sym-square defining bundle")

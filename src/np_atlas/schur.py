@@ -249,7 +249,7 @@ def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     lam = normalize(lam)
     if check_int("m", m) < 1:
         raise ValueError("need at least one variable")
-    return _schur_character(lam, m)
+    return dict(_schur_character(lam, m))
 
 
 # cached behind the checks: 2.0 and True hash like 2 and 1, so a cache in

@@ -26,9 +26,10 @@ ints, so it reads the cached threshold without np_threshold's checks of p
 and the ranks.  Threshold and certificate records are built in C from their
 field tuples, with no Python frame per record.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
-sweep that evaluates each distinct Koszul twist once.  It reads only the
-twist's degree from the kernel in bott, on plain ints: no weight record and no
-dimension.  One builder makes every certificate, of type A, B/C/D or G2: it
+sweep: it builds the six Koszul twists once per checked line bundle, sweeps
+them one at a time, and evaluates each distinct tailed twist once.  It reads
+only the twist's degree from the kernel in bott, on plain ints: no weight
+record and no dimension.  One builder makes every certificate, of type A, B/C/D or G2: it
 names a clause exactly when the query is certified.
 """
 
@@ -48,9 +49,9 @@ from .geometry import (
     VarietySpec,
     _DEFINING_SQUARE,
     _SQUARES,
+    _g2_twists,
     _least_gap,
     check_line_bundle,
-    g2_koszul_twist_weight,
     quotient_ranks,
 )
 from .partitions import _conjugate, check_int, check_ints, check_type, contains, normalize
@@ -287,7 +288,8 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     between blocks, so it is at most the ambient dimension dim.  Past
     t = i + dim + 5 the G2_X degree is >= j + dim + 7 and the G2_P bound
     >= j + dim + 6, both above dim, so the rows there are vacuous and the
-    sweep stops.  Each twist is evaluated once.
+    sweep stops.  The six twists j = 0..5 are built once per line bundle and
+    swept one at a time, each tailed twist evaluated once.
     """
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
@@ -301,24 +303,21 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     totals = range(1, p + dim + 7)  # row totals reach i + dim + 5, with i <= p + 1
     tails = {t: [(a1, t - a1) for a1 in range((t + 1) // 2, t + 1)] if g2x
              else [(t - s, s) for s in range(t + 1)] for t in totals}
-    # the twist depends on (j, tail) and not on i: evaluate each one once.  A
-    # tail adds to the last two entries of the j-th twist, so shift those
-    # entries once per j and add the tail to them
-    degrees = {}
-    for j in range(6):
-        w = g2_koszul_twist_weight(spec, a, j)
+    # the trace is ordered by j first, so each twist's rows follow its own
+    # degrees.  A degree depends on (j, tail) and not on i, and a tail adds to
+    # the last two entries of the twist: shift those once per twist and add
+    # each tail to them
+    trace = []
+    for j, w in enumerate(_g2_twists(spec, a)):
         ranks = w.ranks
         *head, e6, e7 = map(sub, w.concat(), count(1))
-        for t in totals:
-            for tail in tails[t]:
-                degrees[j, tail] = _degree(head + [e6 + tail[0], e7 + tail[1]], ranks)
-    trace = []
-    for j in range(6):
+        degrees = {tail: _degree(head + [e6 + tail[0], e7 + tail[1]], ranks)
+                   for t in totals for tail in tails[t]}
         for i in range(1, p + 2):
             for t in range(i, i + dim + 6):
                 d = j - i + t  # G2_X forbids degree d + 1, G2_P allows up to d
                 for tail in tails[t]:
-                    deg = degrees[j, tail]
+                    deg = degrees[tail]
                     if g2x:
                         ok = deg is None or deg != d + 1
                         row = (j, i, t, *tail, d + 1)

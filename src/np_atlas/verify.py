@@ -20,8 +20,8 @@ from .bott import (
 )
 from .geometry import (
     FlagShape,
+    _g2_twists,
     canonical_weight,
-    g2_koszul_twist_weight,
     parse_variety,
     quotient_ranks,
     restriction_surjectivity_check,
@@ -112,8 +112,8 @@ def suite_g2_lemma() -> dict:
     degrees = set()
     required_ok = True
     for l in range(1, 11):
-        for j in range(6):
-            res = bbw_cohomology(g2_koszul_twist_weight(spec, (l,), j))
+        for j, w in enumerate(_g2_twists(spec, (l,))):
+            res = bbw_cohomology(w)
             if not res.vanishes:
                 degrees.add(res.degree)
                 if 1 <= j <= 5 and res.degree == j:

@@ -14,6 +14,7 @@ tuple of its fields.  A new exported callable fails the test until it has an
 entry.
 """
 
+import copy
 from types import SimpleNamespace
 
 import pytest
@@ -157,6 +158,20 @@ def test_record_arguments_refuse_non_records(name):
     fn(*args)
     accepted = _accepted(fn, _non_records(args))
     assert not accepted, f"{name} accepted {accepted}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items() if args is not None))
+def test_mutable_results_are_the_callers_own(name):
+    # a cached dict or list handed out as is would carry a caller's edit into
+    # every later call with the same arguments
+    fn = getattr(np_atlas, name)
+    args = CALLS[name]
+    result = fn(*args)
+    if not isinstance(result, (dict, list)):
+        return
+    expected = copy.deepcopy(result)
+    result.clear()
+    assert fn(*args) == expected
 
 
 def test_a_record_lookalike_is_not_certified_from():

@@ -13,9 +13,9 @@ from np_atlas.geometry import (
     Family,
     FlagShape,
     VarietySpec,
+    _g2_twists,
     canonical_weight,
     check_line_bundle,
-    g2_koszul_twist_weight,
     parse_shape,
     parse_variety,
     quotient_ranks,
@@ -24,7 +24,7 @@ from np_atlas.geometry import (
 from np_atlas.partitions import pad, weyl_dimension
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
 from np_atlas.schur import schur_character
-from np_atlas.syzygy import np_certify, schur_complex_term
+from np_atlas.syzygy import g2_np_certify, np_certify, schur_complex_term
 from np_atlas.verify import RESTRICTION_CATALOG
 
 
@@ -240,8 +240,6 @@ def test_degrees_and_ranks_must_be_ints():
         lambda: inversion_bound(((),), (1.0, 1), (1,), 1),
         lambda: inversion_bound(((),), (1, True), (1,), 1),
         lambda: flag_dimension((1.5, 2)),
-        lambda: g2_koszul_twist_weight(parse_variety("g2x"), (2,), 1.0),
-        lambda: g2_koszul_twist_weight(parse_variety("g2x"), (2,), True),
         lambda: schur_character((1,), 2.0),
         lambda: schur_character((1,), True),
     ]
@@ -255,21 +253,11 @@ def test_degrees_and_ranks_must_be_ints():
 
 
 def test_g2_koszul_twist_weight():
-    gx = parse_variety("g2x")
-    w = g2_koszul_twist_weight(gx, (4,), 2)
-    assert w.blocks == ((3, 3, 2, 2, 2), (0, 0))
-    gp = parse_variety("g2p")
-    w = g2_koszul_twist_weight(gp, (3, 1), 1)
-    assert w.blocks == ((3, 2, 2, 2, 2), (1,), (0,))
-    for j in (-1, 6):
-        with pytest.raises(ValueError, match="G2 Koszul terms exist for 0 <= j <= 5"):
-            g2_koszul_twist_weight(gx, (4,), j)
-    for token in SQUARES:
-        spec = parse_variety(token)
-        if spec.family in (Family.G2_X, Family.G2_P):
-            continue
-        with pytest.raises(ValueError, match="is not cut out by the G2 Koszul twist"):
-            g2_koszul_twist_weight(spec, (2,) * spec.shape.k, 1)
+    for token, a, tail in (("g2x", (4,), ((0, 0),)), ("g2p", (3, 1), ((1,), (0,)))):
+        assert [w.blocks for w in _g2_twists(parse_variety(token), a)] == [
+            ((a[0] - j + 1,) * j + (a[0] - j,) * (5 - j),) + tail for j in range(6)]
+    assert _g2_twists(parse_variety("g2x"), (4,))[2].blocks == ((3, 3, 2, 2, 2), (0, 0))
+    assert _g2_twists(parse_variety("g2p"), (3, 1))[1].blocks == ((3, 2, 2, 2, 2), (1,), (0,))
 
 
 def test_restriction_surjectivity_small_cases():
@@ -288,8 +276,6 @@ def test_line_bundle_arity():
     for token, a, k in (("sfl(2,1;6)", (2,), 2), ("g2x", (2, 1), 1), ("g2p", (3,), 2)):
         with pytest.raises(ValueError, match=f"expected {k} line-bundle coefficients"):
             restriction_surjectivity_check(parse_variety(token), a)
-    with pytest.raises(ValueError, match="expected 1 line-bundle coefficients"):
-        g2_koszul_twist_weight(parse_variety("g2x"), (2, 1), 1)
 
 
 def _least_gap_by_loop(a):
@@ -346,7 +332,11 @@ def test_each_line_bundle_is_checked_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "check_ints", counted)
     for call in (lambda: schur_complex_term(FlagShape(6, (3, 1)), (3, 1), 1, 1),
-                 lambda: restriction_surjectivity_check(parse_variety("sfl(2,1;6)"), (2, 1))):
+                 lambda: restriction_surjectivity_check(parse_variety("sfl(2,1;6)"), (2, 1)),
+                 lambda: g2_np_certify(parse_variety("g2x"), (1,), 1),
+                 lambda: g2_np_certify(parse_variety("g2p"), (2, 1), 1),
+                 lambda: restriction_surjectivity_check(parse_variety("g2x"), (1,)),
+                 lambda: restriction_surjectivity_check(parse_variety("g2p"), (2, 1))):
         calls.clear()
         call()
         assert calls.count("line-bundle coefficient") == 1

@@ -17,6 +17,10 @@ PINNED = {
         (0, "1a4391e3cffdb0d49526b0a0fe24639235d71303d5a4d1a5bec5c2ca19e7ec88"),
     'np-atlas np --spec "ofl(2;7)" --L "1" --p 1':
         (1, "dd3f5171f580349d436798863f9b883a9d2f77115c3189b6999367fb0ca41955"),
+    'np-atlas np --spec g2x --L 2 --p 2':
+        (0, "c686e694f4b0ae791c113687b9794282b0b0c4f9282e7356799eb158eced7712"),
+    'np-atlas np --spec g2x --L 1 --p 2':
+        (1, "f333220204be2d0ddab163cc329d09ebc2bce886d1609910843fdaa0d1f5c279"),
     'np-atlas np-threshold --family C --ranks 1,1,1,1,1,1 --p 1':
         (0, "dadf1e781e8f37cfc684266716da11cebfce981891e4274e922dae47f809adcb"),
     'np-atlas verify plethysm-dims':

@@ -12,7 +12,6 @@ from np_atlas.bott import BlockedWeight, _degree, bbw_cohomology, flag_dimension
 from np_atlas.geometry import (
     Family,
     FlagShape,
-    g2_koszul_twist_weight,
     parse_variety,
     quotient_ranks,
 )
@@ -554,11 +553,11 @@ def test_g2_sweep_evaluates_each_twist_once(monkeypatch):
 def _g2_rows(spec, a, j, i, totals):
     """Trace rows (j, i, tail total t) of the G2 sweep, restated row by row.
 
-    Each row's weight is the untailed twist's rank-5 block followed by its own
-    tail: on G2_X the rank-2 block (a1, t - a1), on G2_P the blocks
-    (a[1] + t - s,) and (s,).
+    Each row's weight is the j-th twist's rank-5 block, the length-j column
+    shifted by a[0] - j, followed by its own tail: on G2_X the rank-2 block
+    (a1, t - a1), on G2_P the blocks (a[1] + t - s,) and (s,).
     """
-    block1 = g2_koszul_twist_weight(spec, a, j).blocks[0]
+    block1 = (a[0] - j + 1,) * j + (a[0] - j,) * (5 - j)
     rows = []
     for t in totals:
         d = j - i + t
