@@ -1,4 +1,4 @@
-"""Partitions, Frobenius coordinates, and GL(n) dominant-weight dimensions.
+"""Partitions, their conjugates, and GL(n) dominant-weight dimensions.
 
 Partitions are plain tuples of weakly decreasing non-negative integers in
 canonical form (no trailing zeros).  Dominant weights are weakly decreasing
@@ -91,31 +91,6 @@ def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
         cols += [r] * (p[r - 1] - below)
         below = p[r - 1]
     return tuple(cols)
-
-
-def _from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:
-    """The partition with Frobenius coordinates (arms | legs).
-
-    Row i of the diagonal block has arms[i] + i + 1 cells and column i has
-    legs[i] + i + 1, for 0-based i; both sequences strictly decrease to >= 0.
-    """
-    arms, legs = tuple(arms), tuple(legs)
-    if len(arms) != len(legs):
-        raise ValueError("arm and leg sequences must have equal length")
-    for seq in (arms, legs):
-        if any(a <= b for a, b in zip(seq, seq[1:])) or any(x < 0 for x in seq):
-            raise ValueError(
-                f"Frobenius coordinates must be strictly decreasing and >= 0: {arms} | {legs}")
-    r = len(arms)
-    nrows = (legs[0] + 1) if r else 0
-    rows = []
-    for i in range(nrows):
-        if i < r:
-            rows.append(arms[i] + i + 1)
-        else:
-            # below the diagonal block: cell (i, j) sits on hook j iff legs[j] + j >= i
-            rows.append(sum(1 for j in range(r) if legs[j] + j >= i))
-    return normalize(rows)
 
 
 def weyl_dimension(w: tuple[int, ...], n: int) -> int:

@@ -1,41 +1,32 @@
 """Closed-form decompositions of wedge powers of wedge-square and sym-square.
 
-The two families are enumerated directly in Frobenius coordinates: the
-constituents of the j-th wedge of the wedge square are exactly the weight-2j
-shapes (m_1..m_r | m_1+1..m_r+1) with strictly decreasing arms, and the
-sym-square family consists of their conjugates.
+The constituents of the j-th wedge of the wedge square are the shapes
+(mu_1 - 1..mu_r - 1 | mu_1..mu_r) in Frobenius coordinates, one for each
+strict partition mu of j, each with multiplicity one; the sym-square family
+consists of their conjugates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
-from .partitions import _from_frobenius, check_int, conjugate
-
-
-def _strict_arm_sequences(j: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing arm tuples (m_1 > ... > m_r >= 0) with sum(m_i + 1) = j."""
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining - 1), -1, -1):
-            for rest in rec(remaining - first - 1, first - 1):
-                yield (first,) + rest
-
-    yield from rec(j, j)
+from .partitions import check_int, conjugate
+from .schur import partitions_of
 
 
 @lru_cache(maxsize=None)
 def _wedge_of_wedge2_all(j: int) -> tuple[tuple[int, ...], ...]:
-    if j == 0:
-        return ((),)
     shapes = []
-    for arms in _strict_arm_sequences(j):
-        legs = tuple(m + 1 for m in arms)
-        shapes.append(_from_frobenius(arms, legs))
+    for mu in partitions_of(j):
+        if len(set(mu)) < len(mu):
+            continue
+        # row i < r holds i cells left of the diagonal, the diagonal cell and
+        # its arm of mu_i - 1, so mu_i + i cells; each row i from r to mu_1
+        # holds one cell of each column t whose leg of mu_t cells reaches it,
+        # that is with mu_t + t >= i
+        rows = [m + i for i, m in enumerate(mu)]
+        below = range(len(mu), mu[0] + 1) if mu else ()
+        shapes.append(tuple(rows) + tuple(sum(row >= i for row in rows) for i in below))
     return tuple(sorted(shapes))
 
 

@@ -20,6 +20,7 @@ from .bott import (
 )
 from .geometry import (
     FlagShape,
+    _SQUARES,
     _g2_twists,
     canonical_weight,
     parse_variety,
@@ -27,7 +28,6 @@ from .geometry import (
     restriction_surjectivity_check,
 )
 from .partitions import check_int, pad, weyl_dimension
-from .plethysm import wedge_of_sym2, wedge_of_wedge2
 from .schur import character_product, partitions_of, schur_character, tensor_decompose
 from .syzygy import np_threshold
 
@@ -47,22 +47,16 @@ def _check_cases_and_seed(cases: int, seed: int) -> None:
 
 
 def suite_plethysm_dims() -> dict:
-    """Dimension identities: constituent dimensions sum to binomial counts."""
+    """Dimension identities: for each defining square of an n-space, of rank
+    comb(n + shift, 2), the constituents of its j-th wedge power have
+    dimensions summing to comb(rank, j)."""
     failures = []
-    for n in range(2, 9):
-        for j in range(7):
-            total = sum(
-                weyl_dimension(pad(s, n), n) for s in wedge_of_wedge2(j, n)
-            )
-            if total != comb(n * (n - 1) // 2, j):
-                failures.append(("wedge2", n, j, total))
-    for n in range(1, 7):
-        for j in range(7):
-            total = sum(
-                weyl_dimension(pad(s, n), n) for s in wedge_of_sym2(j, n)
-            )
-            if total != comb(n * (n + 1) // 2, j):
-                failures.append(("sym2", n, j, total))
+    for square, (wedges, shift) in _SQUARES.items():
+        for n in range(1, 9):
+            for j in range(7):
+                total = sum(weyl_dimension(pad(s, n), n) for s in wedges(j, n))
+                if total != comb(comb(n + shift, 2), j):
+                    failures.append((square, n, j, total))
     return {"suite": "plethysm-dims", "pass": not failures, "failures": failures}
 
 

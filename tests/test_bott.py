@@ -32,7 +32,7 @@ def test_blocked_weight_rejects_non_int_entries():
             BlockedWeight(blocks)
 
 
-def test_inversion_count_examples():
+def test_degree_examples():
     # one entry per block: the degree is the inversion count of the sequence
     assert _degree([1, -1], (1, 1)) == 0
     assert _degree([-1, 1], (1, 1)) == 1

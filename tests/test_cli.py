@@ -194,12 +194,6 @@ def test_verify_rejects_options_the_suite_ignores(capsys):
         assert "takes no --cases or --seed" in err
 
 
-def test_verify_threshold_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "threshold-oracle")
-    assert code == EXIT_OK
-    assert json.loads(out)["pass"] is True
-
-
 def test_verify_surfaces_key_error_from_a_suite(monkeypatch, capsys):
     def broken_suite():
         raise KeyError("missing")

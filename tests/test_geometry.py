@@ -252,7 +252,7 @@ def test_degrees_and_ranks_must_be_ints():
                 gen(j, n)
 
 
-def test_g2_koszul_twist_weight():
+def test_g2_twists():
     for token, a, tail in (("g2x", (4,), ((0, 0),)), ("g2p", (3, 1), ((1,), (0,)))):
         assert [w.blocks for w in _g2_twists(parse_variety(token), a)] == [
             ((a[0] - j + 1,) * j + (a[0] - j,) * (5 - j),) + tail for j in range(6)]

@@ -1,6 +1,5 @@
 import random
 import time
-from itertools import combinations
 from math import comb, isqrt
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 from np_atlas import partitions
 from np_atlas.partitions import (
-    _from_frobenius,
     conjugate,
     format_partition,
     normalize,
@@ -36,28 +34,6 @@ def test_conjugate_examples():
 @given(partition_st)
 def test_conjugate_involutive(p):
     assert conjugate(conjugate(p)) == p
-
-
-def test_frobenius_examples():
-    assert _from_frobenius((1,), (2,)) == (2, 1, 1)
-    assert _from_frobenius((2,), (1,)) == (3, 1)
-    assert _from_frobenius((1, 0), (2, 1)) == (2, 2, 2)
-    assert _from_frobenius((), ()) == ()
-    for arms, legs in (((1,), ()), ((0, 1), (1, 0)), ((1,), (-1,))):
-        with pytest.raises(ValueError):
-            _from_frobenius(arms, legs)
-
-
-def test_from_frobenius_enumerates_partitions():
-    # every (arms | legs) pair of strictly decreasing tuples of equal length r
-    # and weight sum(arms) + sum(legs) + r <= 8; r <= 2, since r = 3 weighs >= 9
-    strict = [tuple(reversed(c)) for r in range(3) for c in combinations(range(8), r)]
-    pairs = [(arms, legs) for arms in strict for legs in strict
-             if len(arms) == len(legs) and sum(arms) + sum(legs) + len(arms) <= 8]
-    built = [_from_frobenius(arms, legs) for arms, legs in pairs]
-    assert sorted(built) == sorted([()] + [p for w in range(1, 9) for p in partitions_of(w)])
-    for arms, legs in pairs:
-        assert _from_frobenius(legs, arms) == conjugate(_from_frobenius(arms, legs))
 
 
 def test_normalize_rejects_bad_input():

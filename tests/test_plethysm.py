@@ -1,8 +1,6 @@
-from math import comb
-
-from np_atlas.partitions import conjugate, pad, weyl_dimension
+from np_atlas.partitions import conjugate
 from np_atlas.plethysm import wedge_of_sym2, wedge_of_wedge2
-from np_atlas.schur import filtration_quotients, schur_character
+from np_atlas.schur import filtration_quotients, partitions_of, schur_character
 
 
 def test_wedge_of_wedge2_examples():
@@ -32,13 +30,18 @@ def test_conjugate_duality():
         )
 
 
-def test_dimension_identity_small():
-    for n in range(2, 7):
-        for j in range(5):
-            total = sum(weyl_dimension(pad(s, n), n) for s in wedge_of_wedge2(j, n))
-            assert total == comb(n * (n - 1) // 2, j)
-            total = sum(weyl_dimension(pad(s, n), n) for s in wedge_of_sym2(j, n))
-            assert total == comb(n * (n + 1) // 2, j)
+def test_wedge_of_wedge2_is_every_shape_with_legs_one_past_arms():
+    # the rule from the other side: among all partitions of 2j, the constituents
+    # are those whose Frobenius legs exceed their arms by one, that is whose
+    # column i is one cell longer than row i for each i below the Durfee size
+    for j in range(11):
+        expected = []
+        for shape in partitions_of(2 * j):
+            columns = conjugate(shape)
+            durfee = sum(1 for i, row in enumerate(shape) if row > i)
+            if all(columns[i] == shape[i] + 1 for i in range(durfee)):
+                expected.append(shape)
+        assert wedge_of_wedge2(j, 2 * j) == sorted(expected), j
 
 
 def elementary_of_monomials(j, monomials, n):
