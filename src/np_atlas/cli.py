@@ -177,13 +177,14 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
     """The attributes argparse returns for a table subcommand's plain argv, else None.
 
     Plain means every option of the subcommand exactly once, each as its full
-    flag followed by a value that does not start with "-", and every typed
+    flag followed by a str value that does not start with "-", and every typed
     value converting with the type argparse calls.  argparse reads such an
     argv the same way; anything else (help, abbreviations, "--flag=value",
-    repeats, "--", a value like "-1", a bad value, a value that is not a
-    str) is left to it, so help, usage and every error still come from
-    argparse.  The attributes come in a SimpleNamespace, which the commands
-    read as they read argparse's Namespace; argparse itself stays unloaded.
+    repeats, "--", a value like "-1", a bad value) is left to it, so help,
+    usage and every error still come from argparse.  main refuses an entry
+    that is not a str, which argparse cannot read, before calling this.  The
+    attributes come in a SimpleNamespace, which the commands read as they
+    read argparse's Namespace; argparse itself stays unloaded.
     """
     entry = _TABLE.get(argv[0]) if argv else None
     if entry is None:
@@ -210,6 +211,10 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    for arg in argv:  # argparse and the option table read strings only
+        if not isinstance(arg, str):
+            print(f"np-atlas: argument {arg!r} is not a string", file=sys.stderr)
+            return EXIT_USAGE
     args = _read_table(argv)
     if args is None:
         import argparse

@@ -118,25 +118,20 @@ class VarietySpec(namedtuple("VarietySpec", "family shape")):
         return tuple.__new__(cls, (family, shape))
 
 
-def _least_gap(a: tuple[int, ...], kind: str = "ample") -> int:
-    """The least gap min(a_i - a_{i+1}, a_k) of a checked, non-empty int
-    coefficient tuple: the largest l with L = H^l (x) M, H ample and M nef.
-
-    kind is "ample", which refuses a gap below 1, or "nef", which refuses one
-    below 0.
+def check_line_bundle(shape: FlagShape, a: tuple[int, ...],
+                      kind: str = "ample") -> tuple[tuple[int, ...], int]:
+    """The integer coefficients as a tuple, once their count is the Picard rank
+    k, and their least gap min(a_i - a_{i+1}, a_k): the largest l with
+    L = H^l (x) M, H ample and M nef.  kind "ample" refuses a gap below 1,
+    and kind "nef" one below 0.
     """
-    gap = min(map(sub, a, a[1:] + (0,)))
-    if gap < (1 if kind == "ample" else 0):
-        raise ValueError(f"line bundle {a} is not {kind}")
-    return gap
-
-
-def check_line_bundle(shape: FlagShape, a: tuple[int, ...]) -> tuple[int, ...]:
-    """The integer coefficients as a tuple, once their count is the Picard rank k."""
     a = check_ints("line-bundle coefficient", a)
     if len(a) != shape.k:
         raise ValueError(f"expected {shape.k} line-bundle coefficients, got {len(a)}: {a}")
-    return a
+    gap = min(map(sub, a, a[1:] + (0,)))
+    if gap < (1 if kind == "ample" else 0):
+        raise ValueError(f"line bundle {a} is not {kind}")
+    return a, gap
 
 
 def canonical_weight(shape: FlagShape) -> BlockedWeight:
@@ -185,8 +180,7 @@ def restriction_surjectivity_check(spec: VarietySpec, a: tuple[int, ...]) -> Sur
     twisted by the line bundle, must have no cohomology in the matching
     degree.  The trace lists every Bott-Borel-Weil evaluation performed.
     """
-    a = check_line_bundle(check_type("spec", spec, VarietySpec).shape, a)
-    _least_gap(a)
+    a, _ = check_line_bundle(check_type("spec", spec, VarietySpec).shape, a)
 
     if spec.family in G2_TWISTED:
         rows = ((j, _g2_column(j), _g2_column(j), 1, w)

@@ -305,27 +305,23 @@ def _mult_in_product(target: tuple[int, ...],
     and ranks a tuple of ints.  Peels the first block: S^target restricted
     to GL(ranks[0]) x GL(rest) is the sum of c^target_{rho,nu} S^rho (x)
     S^nu over the rho inside target, with one cached walk per distinct
-    (target, rho).  With one block left, S^nu is its own entry, so the
-    (rho, nu) entries are written here.  The cached dict is shared by every
-    caller and must not be mutated.
+    (target, rho), and branches each S^nu over the rest the same way, down
+    to one block, which holds S^nu alone.  The cached dict is shared by
+    every caller and must not be mutated.
     """
     if len(ranks) <= 1:  # zero blocks hold only (), one block holds target if it fits
         return {(target,) * len(ranks): 1} if len(target) <= sum(ranks) else {}
     rest = ranks[1:]
     room = sum(rest)
     out: dict[tuple[tuple[int, ...], ...], int] = {}
-    one_left = len(rest) == 1
     for rho in _sub_diagrams(target, ranks[0]):
         for nu, c in _lr_fillings(target, rho).items():
             # filtered, not capped: a room cap splits the shared walk keys (997 walks, not 381)
             if len(nu) > room:
                 continue
-            if one_left:  # S^nu is the last block's entry; distinct (rho, nu) pairs, each written once
-                out[rho, nu] = c
-            else:
-                for tail, m in _mult_in_product(nu, rest).items():
-                    key = (rho,) + tail
-                    out[key] = out.get(key, 0) + c * m
+            for tail, m in _mult_in_product(nu, rest).items():
+                key = (rho,) + tail
+                out[key] = out.get(key, 0) + c * m
     return out
 
 

@@ -18,13 +18,13 @@ it, as all-int tuples.  The certificates that ask for that threshold read both
 from the one cached entry, so the two sides of a gap share one trace.  One
 clause rule, read with the same shift, names the clause of a certified C or BD
 query, again by cross-multiplied integer tests.  A certificate validates its
-input once, at its own boundary: the spec must be a VarietySpec, p and the
-line bundle are checked there, and the gap is read off the checked
-coefficients; the tail ranks are the differences of the FlagShape's dims,
-with 0 after the last, which that record's checks already make positive
-ints, so it reads the cached threshold without np_threshold's checks of p
-and the ranks.  Threshold and certificate records are built in C from their
-field tuples, with no Python frame per record.
+input once, at its own boundary: the spec must be a VarietySpec, p is checked
+there, and one call checks the line bundle and returns its gap; the tail
+ranks are the differences of the FlagShape's dims, with 0 after the last,
+which that record's checks already make positive ints, so it reads the
+cached threshold without np_threshold's checks of p and the ranks.
+Threshold and certificate records are built in C from their field tuples,
+with no Python frame per record.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
 sweep: it builds the six Koszul twists once per checked line bundle, sweeps
 them one at a time, and evaluates each distinct tailed twist once.  It reads
@@ -50,11 +50,10 @@ from .geometry import (
     _DEFINING_SQUARE,
     _SQUARES,
     _g2_twists,
-    _least_gap,
     check_line_bundle,
     quotient_ranks,
 )
-from .partitions import _conjugate, check_int, check_ints, check_type, contains, normalize
+from .partitions import _conjugate, check_int, check_ints, check_type, contains
 from .schur import SchurSummand, _lr_fillings, _sorted_summands, partitions_of
 
 CERTIFIED = "certified"
@@ -85,11 +84,12 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
         raise ValueError(f"level {level} outside 1..{shape.k}")
     if check_int("homological degree j", j) < 1:
         raise ValueError("homological degree must be >= 1")
-    a = check_line_bundle(shape, a)
-    _least_gap(a, "nef")
+    a, _ = check_line_bundle(shape, a, "nef")
     ranks = quotient_ranks(shape)
     coeffs = a + (0,)
-    alpha = normalize([coeffs[t] - coeffs[level] for t in range(level) for _ in range(ranks[t])])
+    # a is nef, so coeffs falls weakly and the zero parts of alpha are its last ones
+    alpha = tuple(coeffs[t] - coeffs[level] for t in range(level)
+                  if coeffs[t] > coeffs[level] for _ in range(ranks[t]))
     twist = (a[level - 1],) * level + a[level:]
     items = []
     if j <= sum(alpha):
@@ -259,8 +259,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
         return g2_np_certify(spec, a, p)
     if check_int("p", p) < 1:
         raise ValueError("p must be >= 1")
-    a = check_line_bundle(spec.shape, a)
-    l = _least_gap(a)
+    a, l = check_line_bundle(spec.shape, a)
     family = _DEFINING_SQUARE.get(spec.family)
     if family is None:  # past the G2 varieties, only type A has no defining square
         return _certificate(spec, a, l, p, "A:gap-at-least-p" if l >= p else None,
@@ -295,8 +294,7 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
         raise ValueError("p must be >= 1")
     if check_type("spec", spec, VarietySpec).family not in G2_TWISTED:
         raise ValueError("exhaustive certification covers only the two G2 varieties")
-    a = check_line_bundle(spec.shape, a)
-    l = _least_gap(a)
+    a, l = check_line_bundle(spec.shape, a)
 
     dim = flag_dimension(quotient_ranks(spec.shape))
     g2x = spec.family is Family.G2_X

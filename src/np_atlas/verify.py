@@ -274,7 +274,7 @@ SUITES = {
 
 def run_suite(name: str, cases: int | None = None, seed: int | None = None) -> dict:
     """Run a suite; only the seeded suites take cases and seed."""
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown verification suite {name!r}")
     kwargs = {k: v for k, v in (("cases", cases), ("seed", seed)) if v is not None}
     if kwargs and name not in ("serre-duality", "bound-dominance"):

@@ -210,6 +210,17 @@ def test_verify_unknown_suite(capsys):
     assert "unknown verification suite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["np", "--spec", 3, "--L", "1", "--p", "1"],
+    ["verify", 3],
+    [["x"]],
+    ["cohomology", "--shape", "fl(1;2)", "--weight", b"[3],[0]"],
+])
+def test_main_refuses_an_argument_that_is_not_a_string(capsys, argv):
+    bad = next(arg for arg in argv if not isinstance(arg, str))
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"np-atlas: argument {bad!r} is not a string\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["cohomology", "--shape", "fl(1;2)"]) == EXIT_USAGE
     capsys.readouterr()

@@ -272,7 +272,7 @@ def test_restriction_surjectivity_small_cases():
 
 
 def test_line_bundle_arity():
-    assert check_line_bundle(FlagShape(12, (6, 5, 3)), [3, 2, 1]) == (3, 2, 1)
+    assert check_line_bundle(FlagShape(12, (6, 5, 3)), [3, 2, 1]) == ((3, 2, 1), 1)
     for token, a, k in (("sfl(2,1;6)", (2,), 2), ("g2x", (2, 1), 1), ("g2p", (3,), 2)):
         with pytest.raises(ValueError, match=f"expected {k} line-bundle coefficients"):
             restriction_surjectivity_check(parse_variety(token), a)

@@ -44,6 +44,22 @@ def test_wedge_of_wedge2_is_every_shape_with_legs_one_past_arms():
         assert wedge_of_wedge2(j, 2 * j) == sorted(expected), j
 
 
+def test_one_constituent_of_2j_cells_per_strict_partition():
+    # the number of strict partitions of j is the coefficient of x^j in
+    # prod (1 + x^k); j = 28 is the first with seven distinct parts.  n = j + 1
+    # keeps every shape: (mu - 1 | mu) has mu_1 + 1 rows and its conjugate mu_1
+    top = 30
+    strict = [1] + [0] * top
+    for k in range(1, top + 1):
+        for m in range(top, k - 1, -1):
+            strict[m] += strict[m - k]
+    for j in range(top + 1):
+        for family in (wedge_of_wedge2, wedge_of_sym2):
+            shapes = family(j, j + 1)
+            assert len(shapes) == strict[j], (family, j)
+            assert all(sum(shape) == 2 * j for shape in shapes), (family, j)
+
+
 def elementary_of_monomials(j, monomials, n):
     """e_j of the given monomials (exponent vectors in n variables), as
     {exponent vector: coefficient}: the degree-j part of prod (1 + t m)."""

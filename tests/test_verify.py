@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,6 @@ from np_atlas.verify import (
     suite_serre_duality,
     suite_threshold_oracle,
 )
-
-
-def test_threshold_oracle():
-    summary = suite_threshold_oracle()
-    assert summary["pass"], summary["failures"]
-    # C and BD, 340 rank tuples of length <= 4 with parts <= 4, p = 1..10
-    assert summary["checked"] == 2 * 340 * 10
 
 
 def test_threshold_oracle_checks_every_row(monkeypatch):
@@ -82,6 +76,12 @@ def test_bound_dominance_reports_violations(monkeypatch, capsys):
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="unknown verification suite 'no-such-suite'"):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("name", [["plethysm-dims"], {"lr-oracle": None}])
+def test_run_suite_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(ValueError, match=re.escape(f"unknown verification suite {name!r}")):
+        run_suite(name)
 
 
 @st.composite
