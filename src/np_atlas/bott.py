@@ -98,9 +98,7 @@ def _degree(shifted: list[int], ranks: Iterable[int]) -> int | None:
 
 def flag_dimension(ranks: tuple[int, ...]) -> int:
     """Dimension of the flag variety with the given quotient ranks."""
-    ranks = check_ints("rank", ranks)
-    if ranks and min(ranks) < 0:
-        raise ValueError(f"ranks must be non-negative: {ranks}")
+    ranks = check_ints("rank", ranks, 0)
     return sum(r * sum(ranks[i + 1:]) for i, r in enumerate(ranks))
 
 
@@ -147,8 +145,7 @@ def inversion_bound(alpha: tuple[tuple[int, ...], ...], ranks: tuple[int, ...],
         raise ValueError(f"alpha must come as a sequence of partitions, got {alpha!r}") from None
     if len(alpha) != len(ranks) - 1 or len(coeffs) != len(ranks):
         raise ValueError("block count mismatch")
-    if check_int("l", l) <= 0:
-        raise ValueError("l must be positive")
+    check_int("l", l, 1)
     for a, b in zip(coeffs, coeffs[1:]):
         if a - b < l:
             raise ValueError(

@@ -15,10 +15,17 @@ from operator import ge, lt
 from typing import Iterable
 
 
-def check_int(name: str, value: int) -> int:
-    """value itself, once its type is exactly int: bools and floats are refused."""
+def check_int(name: str, value: int, least: int | None = None) -> int:
+    """value itself, once its type is exactly int: bools and floats are refused.
+
+    With least given, a value below it is refused too, with the one message
+    every lower bound in the library reads: "{name} must be >= {least}, got
+    {value}".
+    """
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -30,11 +37,13 @@ def check_type(name: str, value, kind: type):
     return value
 
 
-def check_ints(name: str, values: Iterable[int]) -> tuple[int, ...]:
+def check_ints(name: str, values: Iterable[int], least: int | None = None) -> tuple[int, ...]:
     """values as a tuple, once it is a sequence of entries of type exactly int.
 
-    One plain loop, with check_int's message for a bad entry: this runs on
-    every query, where a generator per call costs more than the check.
+    With least given, an entry below it is refused with check_int's bound
+    message, which names the smallest entry.  One plain loop, with
+    check_int's message for a bad entry: this runs on every query, where a
+    generator per call costs more than the check.
     """
     try:
         values = tuple(values)
@@ -43,20 +52,21 @@ def check_ints(name: str, values: Iterable[int]) -> tuple[int, ...]:
     for value in values:
         if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and values and min(values) < least:
+        check_int(name, min(values), least)  # raises the bound message
     return values
 
 
 def normalize(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a weakly decreasing sequence by stripping trailing zeros.
 
-    Every entry must be exactly an int: floats and bools are refused rather
-    than truncated.
+    Every entry must be exactly an int of at least 0: floats and bools are
+    refused rather than truncated, and a negative entry with check_ints'
+    bound message.
     """
-    p = check_ints("partition entry", parts)
+    p = check_ints("partition entry", parts, 0)
     if any(map(lt, p, p[1:])):
         raise ValueError(f"not weakly decreasing: {p}")
-    if p and p[-1] < 0:
-        raise ValueError(f"negative part in partition: {p}")
     while p and p[-1] == 0:
         p = p[:-1]
     return p

@@ -40,24 +40,19 @@ def _wedge_of_sym2_all(j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(map(conjugate, _wedge_of_wedge2_all(j))))
 
 
-def _check_degree(j: int, n: int) -> None:
-    if check_int("j", j) < 0:
-        raise ValueError("j must be non-negative")
-    if check_int("n", n) < 0:
-        raise ValueError("n must be non-negative")
-
-
 def wedge_of_wedge2(j: int, n: int) -> list[tuple[int, ...]]:
     """Schur constituents of the j-th wedge power of wedge^2 of an n-space.
 
     All constituents are multiplicity-free.  Length filtering happens last so
     the n-independent list is cached across callers.
     """
-    _check_degree(j, n)
+    check_int("j", j, 0)
+    check_int("n", n, 0)
     return [s for s in _wedge_of_wedge2_all(j) if len(s) <= n]
 
 
 def wedge_of_sym2(j: int, n: int) -> list[tuple[int, ...]]:
     """Schur constituents of the j-th wedge power of the symmetric square."""
-    _check_degree(j, n)
+    check_int("j", j, 0)
+    check_int("n", n, 0)
     return [s for s in _wedge_of_sym2_all(j) if len(s) <= n]

@@ -50,12 +50,11 @@ def partitions_of(n: int, *, max_length: int | None = None) -> Iterator[tuple[in
 
     Bad input is refused at the call, not at the first next().
     """
-    if check_int("n", n) < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    check_int("n", n, 0)
     if max_length is None:
         max_length = n
-    elif check_int("max_length", max_length) < 0:
-        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    else:
+        check_int("max_length", max_length, 0)
 
     def rec(remaining, cap, slots):
         if remaining == 0:
@@ -233,8 +232,7 @@ def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
     over (nu_1^len(mu)), so one walk over that shape finds every summand.
     """
     mu, nu = normalize(mu), normalize(nu)
-    if check_int("max_length", max_length) < 0:
-        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    check_int("max_length", max_length, 0)
     shift = nu[0] if nu else 0
     lam = tuple(m + shift for m in mu) + nu
     return _sorted_summands(_lr_fillings(lam, (shift,) * len(mu), max_length=max_length).items())
@@ -247,8 +245,7 @@ def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     zero polynomial when lam has more than m rows.
     """
     lam = normalize(lam)
-    if check_int("m", m) < 1:
-        raise ValueError("need at least one variable")
+    check_int("m", m, 1)
     return dict(_schur_character(lam, m))
 
 
@@ -281,7 +278,7 @@ def _schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]
         rec(0, 0, [0] * m)
     else:
         poly[(0,) * m] = 1
-    return dict(poly)
+    return poly
 
 
 def character_product(a: dict[tuple[int, ...], int],
@@ -333,9 +330,7 @@ def filtration_quotients(alpha: tuple[int, ...],
     per block, with the multiplicity of S^alpha in their tensor product.
     """
     alpha = normalize(alpha)
-    ranks = check_ints("block rank", ranks)
-    if ranks and min(ranks) < 0:
-        raise ValueError(f"block ranks must be non-negative, got {ranks}")
+    ranks = check_ints("block rank", ranks, 0)
     if len(alpha) > sum(ranks):
         raise ValueError(f"partition {alpha} too long for total rank {sum(ranks)}")
     return _sorted_summands(_mult_in_product(alpha, ranks).items())

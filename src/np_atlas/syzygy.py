@@ -80,10 +80,9 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
     a[:level] replaced by a[level - 1]; alpha repeats c[t] - c[level] over
     the rank of each quotient t < level.
     """
-    if not 1 <= check_int("level", level) <= check_type("shape", shape, FlagShape).k:
+    if check_int("level", level, 1) > check_type("shape", shape, FlagShape).k:
         raise ValueError(f"level {level} outside 1..{shape.k}")
-    if check_int("homological degree j", j) < 1:
-        raise ValueError("homological degree must be >= 1")
+    check_int("homological degree j", j, 1)
     a, _ = check_line_bundle(shape, a, "nef")
     ranks = quotient_ranks(shape)
     coeffs = a + (0,)
@@ -117,11 +116,10 @@ def np_threshold(family: str, ranks: tuple[int, ...], p: int) -> ThresholdResult
     """
     if not isinstance(family, str) or family not in _SQUARES:
         raise ValueError(f"unknown family {family!r}")
-    if check_int("p", p) < 1:
-        raise ValueError("p must be >= 1")
-    ranks = check_ints("rank", ranks)
-    if not ranks or min(ranks) < 1:
-        raise ValueError("ranks must be positive")
+    check_int("p", p, 1)
+    ranks = check_ints("rank", ranks, 1)
+    if not ranks:
+        raise ValueError("ranks must be non-empty")
     return _threshold(family, ranks, p)[0]
 
 
@@ -257,8 +255,7 @@ def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:
     """Certify Property (N_p) for an ample pullback bundle on a catalog variety."""
     if check_type("spec", spec, VarietySpec).family in G2_TWISTED:
         return g2_np_certify(spec, a, p)
-    if check_int("p", p) < 1:
-        raise ValueError("p must be >= 1")
+    check_int("p", p, 1)
     a, l = check_line_bundle(spec.shape, a)
     family = _DEFINING_SQUARE.get(spec.family)
     if family is None:  # past the G2 varieties, only type A has no defining square
@@ -290,8 +287,7 @@ def g2_np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificat
     sweep stops.  The six twists j = 0..5 are built once per line bundle and
     swept one at a time, each tailed twist evaluated once.
     """
-    if check_int("p", p) < 1:
-        raise ValueError("p must be >= 1")
+    check_int("p", p, 1)
     if check_type("spec", spec, VarietySpec).family not in G2_TWISTED:
         raise ValueError("exhaustive certification covers only the two G2 varieties")
     a, l = check_line_bundle(spec.shape, a)

@@ -41,8 +41,7 @@ def _random_shape(rng: random.Random, max_n: int) -> FlagShape:
 
 
 def _check_cases_and_seed(cases: int, seed: int) -> None:
-    if check_int("cases", cases) < 1:
-        raise ValueError(f"--cases must be at least 1, got {cases}")
+    check_int("cases", cases, 1)
     check_int("seed", seed)
 
 

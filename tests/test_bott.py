@@ -76,7 +76,7 @@ def test_flag_dimension():
     assert flag_dimension((6, 1, 2, 3)) == 6 + 12 + 18 + 2 + 3 + 6
     assert flag_dimension((0, 3)) == 0
     for ranks in ((-1, 2), (2, -2, 1)):
-        with pytest.raises(ValueError, match="ranks must be non-negative"):
+        with pytest.raises(ValueError, match="rank must be >= 0, got -"):
             flag_dimension(ranks)
 
 

@@ -183,7 +183,7 @@ def test_verify_rejects_cases_below_one(capsys):
         code, out, err = run(capsys, "verify", suite, "--cases", cases)
         assert code == EXIT_USAGE
         assert not out
-        assert "--cases must be at least 1" in err
+        assert f"cases must be >= 1, got {cases}" in err
 
 
 def test_verify_rejects_options_the_suite_ignores(capsys):

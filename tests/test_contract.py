@@ -10,8 +10,13 @@ each plain tuple inside one, is replaced by the int 3, and each string leaf
 by the int 3, None, a list holding it and its bytes.  The descent tests
 type(value) is tuple, because the library's records are tuple subclasses.
 Each record argument is replaced by a string, None, the int 3 and the plain
-tuple of its fields.  A new exported callable fails the test until it has an
-entry.
+tuple of its fields, once alone and once with every top-level int argument
+set to 0 and then to -1, so that a bound check which fires first cannot read
+a field of the non-record before its type is checked.  A new exported
+callable fails the test until it has an entry.
+
+BOUNDS lists every int input bounded below, and a value one below its least
+must raise exactly "{name} must be >= {least}, got {least - 1}".
 """
 
 import copy
@@ -27,6 +32,9 @@ from np_atlas import (
     VarietySpec,
     parse_variety,
 )
+from np_atlas.partitions import normalize
+from np_atlas.schur import partitions_of
+from np_atlas.verify import suite_serre_duality
 
 SHAPE = FlagShape(6, (3, 1))
 SPEC = VarietySpec(Family.C, SHAPE)
@@ -106,6 +114,12 @@ def _non_records(args):
                 yield args[:i] + (bad,) + args[i + 1:]
 
 
+def _non_records_at_bounds(args):
+    """_non_records' copies of args with every top-level int set to 0, then to -1."""
+    for bound in (0, -1):
+        yield from _non_records(tuple(bound if type(a) is int else a for a in args))
+
+
 def _accepted(fn, variants):
     """The variants that fn does not refuse with ValueError."""
     accepted = []
@@ -158,6 +172,60 @@ def test_record_arguments_refuse_non_records(name):
     fn(*args)
     accepted = _accepted(fn, _non_records(args))
     assert not accepted, f"{name} accepted {accepted}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items()
+                                        if args is not None and any(_non_records(args))
+                                        and int in map(type, args)))
+def test_record_arguments_refuse_non_records_at_bounds(name):
+    fn = getattr(np_atlas, name)
+    args = CALLS[name]
+    fn(*args)
+    accepted = _accepted(fn, _non_records_at_bounds(args))
+    assert not accepted, f"{name} accepted {accepted}"
+
+
+def _partitions_of(n, max_length):
+    """partitions_of with its keyword-only max_length taken by position."""
+    return partitions_of(n, max_length=max_length)
+
+
+# (callable, one valid call, the index of the argument bounded below, the
+# name its message gives, the least value allowed); a tuple argument gets
+# least - 1 as its last entry, which is then its smallest
+BOUNDS = [
+    (np_atlas.flag_dimension, ((2, 1, 3),), 0, "rank", 0),
+    (np_atlas.inversion_bound, (((1,), (1,)), (1, 1, 1), (3, 1), 1), 3, "l", 1),
+    (np_atlas.wedge_of_wedge2, (1, 3), 0, "j", 0),
+    (np_atlas.wedge_of_wedge2, (1, 3), 1, "n", 0),
+    (np_atlas.wedge_of_sym2, (1, 3), 0, "j", 0),
+    (np_atlas.wedge_of_sym2, (1, 3), 1, "n", 0),
+    (_partitions_of, (3, 2), 0, "n", 0),
+    (_partitions_of, (3, 2), 1, "max_length", 0),
+    (np_atlas.tensor_decompose, ((1,), (1,), 2), 2, "max_length", 0),
+    (np_atlas.schur_character, ((2, 1), 2), 1, "m", 1),
+    (np_atlas.filtration_quotients, ((2, 1), (1, 2)), 1, "block rank", 0),
+    (normalize, ((3, 1),), 0, "partition entry", 0),
+    (np_atlas.schur_complex_term, (SHAPE, (3, 1), 1, 1), 2, "level", 1),
+    (np_atlas.schur_complex_term, (SHAPE, (3, 1), 1, 1), 3, "homological degree j", 1),
+    (np_atlas.np_threshold, ("C", (2, 1), 1), 2, "p", 1),
+    (np_atlas.np_threshold, ("C", (2, 1), 1), 1, "rank", 1),
+    (np_atlas.np_certify, (SPEC, (3, 1), 1), 2, "p", 1),
+    (np_atlas.g2_np_certify, (G2P, (2, 1), 1), 2, "p", 1),
+    (suite_serre_duality, (1, 1), 0, "cases", 1),
+]
+
+
+@pytest.mark.parametrize("fn, args, index, name, least", BOUNDS,
+                         ids=[f"{fn.__name__}-{name}" for fn, _, _, name, _ in BOUNDS])
+def test_one_below_the_least_value_is_refused_with_one_message(fn, args, index, name, least):
+    fn(*args)
+    bad = least - 1
+    if type(args[index]) is tuple:
+        bad = args[index][:-1] + (bad,)
+    with pytest.raises(ValueError) as exc:
+        fn(*args[:index], bad, *args[index + 1:])
+    assert str(exc.value) == f"{name} must be >= {least}, got {least - 1}"
 
 
 @pytest.mark.parametrize("name", sorted(n for n, args in CALLS.items() if args is not None))

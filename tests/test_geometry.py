@@ -248,7 +248,7 @@ def test_degrees_and_ranks_must_be_ints():
             call()
     for j, n in ((2, -3), (0, -1), (-1, 3)):
         for gen in (wedge_of_wedge2, wedge_of_sym2):
-            with pytest.raises(ValueError, match="must be non-negative"):
+            with pytest.raises(ValueError, match="must be >= 0, got -"):
                 gen(j, n)
 
 

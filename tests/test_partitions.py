@@ -41,6 +41,9 @@ def test_normalize_rejects_bad_input():
         normalize((1, 2))
     with pytest.raises(ValueError):
         normalize((2, -1))
+    # the bound message names the smallest entry
+    with pytest.raises(ValueError, match="^partition entry must be >= 0, got -3$"):
+        normalize((0, -1, -3))
     assert normalize((2, 0, 0)) == (2,)
 
 

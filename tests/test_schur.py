@@ -71,7 +71,7 @@ def test_schur_character_examples():
     assert schur_character((1, 1, 1), 2) == {}
     assert schur_character((), 3) == {(0, 0, 0): 1}
     for m in (0, -1):
-        with pytest.raises(ValueError, match="need at least one variable"):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
             schur_character((1,), m)
 
 
@@ -134,17 +134,17 @@ def test_malformed_schur_input_rejected():
             lr_coefficient(lam, mu, nu)
     with pytest.raises(ValueError, match="partition entry must be an int"):
         tensor_decompose((1.9,), (1,), 2)
-    with pytest.raises(ValueError, match="max_length must be non-negative"):
+    with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
         tensor_decompose((1,), (1,), -1)
-    with pytest.raises(ValueError, match="block ranks must be non-negative"):
+    with pytest.raises(ValueError, match="block rank must be >= 0, got -1"):
         filtration_quotients((1,), (-1, 2))
     # refused at the call, before any next()
     for n, max_length, message in ((True, None, "n must be an int"),
                                    (2.5, None, "n must be an int"),
-                                   (-1, None, "n must be non-negative"),
+                                   (-1, None, "n must be >= 0, got -1"),
                                    (3, 1.5, "max_length must be an int"),
                                    (3, True, "max_length must be an int"),
-                                   (3, -1, "max_length must be non-negative")):
+                                   (3, -1, "max_length must be >= 0, got -1")):
         with pytest.raises(ValueError, match=message):
             partitions_of(n, max_length=max_length)
 

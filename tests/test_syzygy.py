@@ -73,6 +73,16 @@ def test_kernel_filtration_requires_nef():
         schur_complex_term(FlagShape(5, (2, 1)), (1, 3), 1, 1)
 
 
+def test_schur_complex_term_refuses_a_level_below_1_before_reading_the_shape():
+    # no message may read shape.k before the shape is known to be a FlagShape
+    for shape in ("x", None, 3, (6, (3, 1))):
+        for level in (0, -1):
+            with pytest.raises(ValueError, match=f"level must be >= 1, got {level}"):
+                schur_complex_term(shape, (3, 1), level, 1)
+    with pytest.raises(ValueError, match=r"level 3 outside 1\.\.2"):
+        schur_complex_term(FlagShape(6, (3, 1)), (3, 1), 3, 1)
+
+
 def test_schur_complex_term_euler_sequence():
     term = schur_complex_term(FlagShape(2, (1,)), (3,), 1, 1)
     assert [(s.shape, s.multiplicity) for s in term.summands] == [(((1,), (2,)), 1)]
@@ -461,12 +471,12 @@ def test_np_certify_validation():
     spec = parse_variety("sfl(2;6)")
     with pytest.raises(ValueError, match=r"line bundle \(0,\) is not ample"):
         np_certify(spec, (0,), 1)
-    with pytest.raises(ValueError, match="p must be >= 1"):
+    with pytest.raises(ValueError, match="p must be >= 1, got 0"):
         np_certify(spec, (1,), 0)
     with pytest.raises(ValueError, match="expected 1 line-bundle coefficients"):
         np_certify(spec, (2, 1), 1)
-    for ranks in ((0,), ()):
-        with pytest.raises(ValueError, match="ranks must be positive"):
+    for ranks, message in (((0,), "rank must be >= 1, got 0"), ((), "ranks must be non-empty")):
+        with pytest.raises(ValueError, match=message):
             np_threshold("C", ranks, 1)
 
 

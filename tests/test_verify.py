@@ -48,7 +48,7 @@ def test_threshold_oracle_checks_every_row(monkeypatch):
 
 def test_seeded_suites_reject_zero_cases():
     for suite in (suite_serre_duality, suite_bound_dominance):
-        with pytest.raises(ValueError, match="--cases must be at least 1"):
+        with pytest.raises(ValueError, match="cases must be >= 1, got 0"):
             suite(cases=0)
         for kwargs in ({"cases": 2.5}, {"cases": True}, {"seed": 1.5}, {"seed": False}):
             with pytest.raises(ValueError, match="must be an int"):
