@@ -103,10 +103,13 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
     so it holds exactly i + 1; the lattice condition holds since lam is
     weakly decreasing.  Those rows are filled in: they give only the value
     counts the walk starts from.  The walk starts below them, on slot tables
-    compiled once per skeleton (see _lr_skeleton), which an explicit-stack
+    compiled once per skeleton (see _lr_skeleton), which one explicit-stack
     odometer fills in one flat value list, with no Python call per cell.
-    The lattice condition keeps the value counts a partition, so each
-    leaf's content is the prefix of the counts up to a sentinel 0.
+    Every value left for the last cell completes a tableau, so whenever the
+    odometer reaches that cell it counts those values at once; a shape with
+    one walked cell is that count alone.  The lattice condition keeps the
+    value counts a partition, so each leaf's content is the prefix of the
+    counts up to a sentinel 0.
     """
     rows = len(lam)
     mu = pad(mu, rows)
@@ -128,42 +131,30 @@ def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
         return {tuple(counts[1:counts.index(0)]): 1}
     vals = list(template)
     out: dict[tuple[int, ...], int] = {}
-    # The last cell is counted, not walked: each value left for it completes a
-    # tableau, so its values are counted each time the cell before it takes one.
-    last = len(right) - 1
+    last = len(right) - 1  # the cell that is counted, not walked
     floor, cap = above[last], right[last]
-    before = last - 1  # the cell whose every value is followed by counting the last cell's
-    if not last:  # one walked cell, with no cell before it: count its values once
-        for v in range(vals[floor] + 1, vals[cap] + 1):
-            if counts[v] < counts[v - 1]:  # lattice condition
-                counts[v] += 1
-                content = tuple(counts[1:counts.index(0)])
-                out[content] = out.get(content, 0) + 1
-                counts[v] -= 1
-        return out
     pos = 0
     vals[0] = vals[above[0]]
     while True:
-        hi = vals[right[pos]]
-        v = vals[pos] + 1
-        while v <= hi and counts[v] >= counts[v - 1]:
-            v += 1  # lattice condition: the counts stay weakly decreasing
-        if v <= hi:
-            vals[pos] = v
-            counts[v] += 1
-            if pos < before:
+        if pos == last:  # count the last cell's values, then step back
+            for v in range(vals[floor] + 1, vals[cap] + 1):
+                if counts[v] < counts[v - 1]:  # lattice condition
+                    counts[v] += 1
+                    content = tuple(counts[1:counts.index(0)])
+                    out[content] = out.get(content, 0) + 1
+                    counts[v] -= 1
+        else:
+            hi = vals[right[pos]]
+            v = vals[pos] + 1
+            while v <= hi and counts[v] >= counts[v - 1]:
+                v += 1  # lattice condition: the counts stay weakly decreasing
+            if v <= hi:
+                vals[pos] = v
+                counts[v] += 1
                 pos += 1
                 vals[pos] = vals[above[pos]]  # one below the first value to try
                 continue
-            for w in range(vals[floor] + 1, vals[cap] + 1):
-                if counts[w] < counts[w - 1]:
-                    counts[w] += 1
-                    content = tuple(counts[1:counts.index(0)])
-                    out[content] = out.get(content, 0) + 1
-                    counts[w] -= 1
-            counts[v] -= 1  # and try the next value here
-            continue
-        if not pos:  # no value left here: step back and advance the cell before
+        if not pos:  # this cell is done: step back and advance the cell before it
             return out
         pos -= 1
         counts[vals[pos]] -= 1

@@ -199,12 +199,15 @@ class NpCertificate(NamedTuple):
         return self.verdict == CERTIFIED
 
     def to_json_dict(self) -> dict:
-        # one unpacking and one ratio call read every field
+        # one unpacking and one ratio call read every field; the query's dicts
+        # and lists are copied, so the caller owns every container it gets
         query, verdict, clause, threshold, witness_config, trace = self
         num, den = threshold.as_integer_ratio()
+        shape = query["shape"]
         return {
             "schema_version": SCHEMA_VERSION,
-            "query": query,
+            "query": dict(query, shape=dict(shape, dims=shape["dims"][:]),
+                          line_bundle=query["line_bundle"][:]),
             "verdict": verdict,
             "clause": clause,
             "threshold": {"num": num, "den": den},

@@ -17,6 +17,9 @@ callable fails the test until it has an entry.
 
 BOUNDS lists every int input bounded below, and a value one below its least
 must raise exactly "{name} must be >= {least}, got {least - 1}".
+
+JSON_RECORDS builds one record of each kind that has to_json_dict, and every
+dict and list reachable from the dict it returns must be the caller's own.
 """
 
 import copy
@@ -240,6 +243,47 @@ def test_mutable_results_are_the_callers_own(name):
     expected = copy.deepcopy(result)
     result.clear()
     assert fn(*args) == expected
+
+
+# one record of each kind that has to_json_dict: certificates on C, B, D and
+# A, a G2 certificate, and a nonzero cohomology result
+JSON_RECORDS = {
+    "np_certify-C": lambda: np_atlas.np_certify(parse_variety("sfl(6,5,3;12)"), (3, 2, 1), 1),
+    "np_certify-B": lambda: np_atlas.np_certify(parse_variety("ofl(2;7)"), (1,), 1),
+    "np_certify-D": lambda: np_atlas.np_certify(parse_variety("ofl(3,1;8)"), (4, 1), 1),
+    "np_certify-A": lambda: np_atlas.np_certify(parse_variety("fl(2,1;4)"), (2, 1), 1),
+    "g2_np_certify": lambda: np_atlas.g2_np_certify(G2P, (2, 1), 1),
+    "bbw_cohomology": lambda: np_atlas.bbw_cohomology(BlockedWeight(((2, 1), (0,)))),
+}
+
+
+def _containers(value, found):
+    """found, extended by every dict and list reachable from value, each once."""
+    if isinstance(value, (dict, list)):
+        if any(value is seen for seen in found):
+            return found
+        found.append(value)
+    if isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _containers(item, found)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(JSON_RECORDS))
+def test_json_dicts_are_the_callers_own(name):
+    # editing a returned dict or list, at any depth, must not reach the record
+    record = JSON_RECORDS[name]()
+    first = record.to_json_dict()
+    expected = copy.deepcopy(first)
+    containers = _containers(first, [])
+    assert len(containers) >= 2
+    for item in containers:
+        item.clear()
+        if isinstance(item, dict):
+            item["edited"] = True
+        else:
+            item.append("edited")
+    assert record.to_json_dict() == expected
 
 
 def test_a_record_lookalike_is_not_certified_from():

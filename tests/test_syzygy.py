@@ -602,6 +602,18 @@ def test_g2_rows_past_the_sweep_are_vacuous():
                 assert all(row[-1] == "ok" for row in past), (token, l, p)
 
 
+def test_g2_trace_size_grows_with_p_squared():
+    # 6 twists, then i = 1..p+1, then tail totals t = i..i+dim+5, each with
+    # m(t) tails: t = a1 + a2 with a1 >= a2 on G2_X (dim 10), t = s + (t - s)
+    # on G2_P (dim 11).  The count does not depend on the line bundle
+    for token, a, dim, m in (("g2x", (1,), 10, lambda t: t // 2 + 1),
+                             ("g2p", (2, 1), 11, lambda t: t + 1)):
+        spec = parse_variety(token)
+        for p in range(1, 9):
+            rows = 6 * sum(m(t) for i in range(1, p + 2) for t in range(i, i + dim + 6))
+            assert len(g2_np_certify(spec, a, p).trace) == rows, (token, p)
+
+
 # sha256 of the canonical certificate JSON, keyed by (variety, p, gap l): l is
 # ceil(threshold) and the positive gap just below it, so both verdicts and the
 # trace rows within 1 of the threshold are pinned
