@@ -4,16 +4,24 @@ Two genuinely different algorithms live here on purpose.  LR coefficients,
 skew decompositions and tensor products all come from one walk over the
 lattice skew tableaux of a shape, which returns every content at once;
 schur_character sums over semistandard tableaux and serves as an independent
-cross-check of the whole tensor calculus.  Each distinct walk runs once per
-process (the walk is cached behind the callers' input checks), and its forced
-top rows are filled in rather than walked: they only set the value counts the
-walk starts from.  The rows below them are compiled into flat slot tables once
-per skeleton (the walked rows, the inner shape from the last forced row on,
-the number of forced rows and the value cap), so shapes that differ only in
-their forced rows share one compile.  An iterative odometer fills the tables,
-one loop step per value tried and no call per cell, and counts the values of
-the last cell at once.  The producers build their SchurSummand records from
-(shape, multiplicity) pairs in C, with no Python frame per record.
+cross-check of the whole tensor calculus.  Each distinct skew walk runs once
+per process (the walk is cached behind the callers' input checks), since the
+branching behind filtration quotients and Schur-complex terms peels the same
+shapes again and again; a product's disconnected shape is walked on every
+call, since a product is rarely asked for twice (a schur-cold benchmark pass
+walks 248 products and none of them again) and a cached one would only keep
+its dict alive.  The forced top rows of a walk are filled in rather than
+walked: they only set the value counts the walk starts from.  The rows below
+them are compiled into flat slot tables once per skeleton (the walked rows,
+the inner shape from the last forced row on, the number of forced rows and
+the value cap), so shapes that differ only in their forced rows share one
+compile.  An iterative odometer fills the tables, one loop step per value
+tried and no call per cell, and counts the values of the last cell at once.
+The producers build their SchurSummand records from (shape, multiplicity)
+pairs in C, with no Python frame per record.  The enumerations that are read
+again, the sub-diagrams of a branching target and the partitions of a
+Schur-complex degree, are cached tuples; partitions_of stays a lazy
+generator.
 """
 
 from __future__ import annotations
@@ -48,39 +56,55 @@ def _sorted_summands(items) -> list[SchurSummand]:
 def partitions_of(n: int, *, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n, with at most max_length parts when given.
 
-    Bad input is refused at the call, not at the first next().
+    Bad input is refused at the call, not at the first next().  The
+    partitions come lazily: p(80) alone is 15,796,476 of them.
     """
     check_int("n", n, 0)
     if max_length is None:
         max_length = n
     else:
         check_int("max_length", max_length, 0)
-
-    def rec(remaining, cap, slots):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    return rec(n, n, max_length)
+    return _partitions_below(n, n, max_length)
 
 
-def _sub_diagrams(outer: tuple[int, ...], max_length: int) -> Iterator[tuple[int, ...]]:
-    """Every partition inside the partition outer with at most max_length parts."""
-    rows = min(len(outer), max_length)
-
-    def rec(i, cap):
+# The enumerators recurse through module-level functions, not through a
+# closure that calls itself: such a closure and its cell form a cycle that
+# every call leaves for the cyclic collector.
+def _partitions_below(remaining: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of remaining with parts at most cap and at most slots parts."""
+    if remaining == 0:
         yield ()
-        if i < rows:
-            for first in range(min(cap, outer[i]), 0, -1):
-                for rest in rec(i + 1, first):
-                    yield (first,) + rest
+        return
+    if slots == 0:
+        return
+    for first in range(min(cap, remaining), 0, -1):
+        for rest in _partitions_below(remaining - first, first, slots - 1):
+            yield (first,) + rest
 
-    return rec(0, outer[0] if outer else 0)
+
+# cached behind the callers' checks (exact ints n and max_length); the tuple
+# is shared by every caller, who cannot mutate it
+@lru_cache(maxsize=None)
+def _partitions(n: int, max_length: int) -> tuple[tuple[int, ...], ...]:
+    """partitions_of(n, max_length=max_length), in its order, as one tuple."""
+    return tuple(_partitions_below(n, n, max_length))
+
+
+# cached behind the callers' checks (a normalized outer and an exact-int
+# max_length); the tuple is shared by every caller, who cannot mutate it
+@lru_cache(maxsize=None)
+def _sub_diagrams(outer: tuple[int, ...], max_length: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition inside the partition outer with at most max_length parts.
+
+    () comes first, then each first part from outer[0] down to 1, followed
+    by the sub-diagrams of the rows below it capped at that part.
+    """
+    subs = [()]
+    if outer and max_length:
+        for first in range(outer[0], 0, -1):
+            below = tuple(min(row, first) for row in outer[1:max_length])
+            subs += [(first,) + rest for rest in _sub_diagrams(below, max_length - 1)]
+    return tuple(subs)
 
 
 # cached behind the callers' checks (normalize, or an exact-int max_length):
@@ -90,6 +114,12 @@ def _sub_diagrams(outer: tuple[int, ...], max_length: int) -> Iterator[tuple[int
 def _lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...],
                  max_length: int | None = None) -> dict[tuple[int, ...], int]:
     """Count LR skew tableaux of shape lam/mu (mu inside lam), binned by content.
+
+    Each distinct skew walk runs once per process: the branching behind
+    filtration_quotients and schur_complex_term peels the same (target,
+    rho) shapes again and again.  A product's disconnected shape is walked
+    on every call, through __wrapped__: a product is rarely asked for twice,
+    so caching one would only keep its dict alive.
 
     Cells are filled in reading order (top row to bottom, right to left
     within a row) so the lattice-word condition can be enforced on the fly;
@@ -226,7 +256,8 @@ def tensor_decompose(mu: tuple[int, ...], nu: tuple[int, ...],
     check_int("max_length", max_length, 0)
     shift = nu[0] if nu else 0
     lam = tuple(m + shift for m in mu) + nu
-    return _sorted_summands(_lr_fillings(lam, (shift,) * len(mu), max_length=max_length).items())
+    # walked uncached: see _lr_fillings
+    return _sorted_summands(_lr_fillings.__wrapped__(lam, (shift,) * len(mu), max_length).items())
 
 
 def schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
@@ -247,29 +278,30 @@ def _schur_character(lam: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]
     if len(lam) > m:
         return {}
     poly: dict[tuple[int, ...], int] = {}
-    rows = len(lam)
-    tableau = [[0] * r for r in lam]
-
-    def rec(i: int, j: int, expo: list[int]) -> None:
-        if i == rows:
-            key = tuple(expo)
-            poly[key] = poly.get(key, 0) + 1
-            return
-        ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
-        lo = tableau[i][j - 1] if j > 0 else 1
-        for v in range(lo, m + 1):
-            if i > 0 and j < lam[i - 1] and v <= tableau[i - 1][j]:
-                continue
-            tableau[i][j] = v
-            expo[v - 1] += 1
-            rec(ni, nj, expo)
-            expo[v - 1] -= 1
-
-    if rows:
-        rec(0, 0, [0] * m)
+    if lam:
+        _fill_tableaux(lam, m, [[0] * r for r in lam], 0, 0, [0] * m, poly)
     else:
         poly[(0,) * m] = 1
     return poly
+
+
+def _fill_tableaux(lam: tuple[int, ...], m: int, tableau: list[list[int]], i: int, j: int,
+                   expo: list[int], poly: dict[tuple[int, ...], int]) -> None:
+    """Add to poly the exponent vector of every semistandard filling of lam with
+    values 1..m that extends the cells of tableau before cell (i, j)."""
+    if i == len(lam):
+        key = tuple(expo)
+        poly[key] = poly.get(key, 0) + 1
+        return
+    ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
+    lo = tableau[i][j - 1] if j > 0 else 1
+    for v in range(lo, m + 1):
+        if i > 0 and j < lam[i - 1] and v <= tableau[i - 1][j]:
+            continue
+        tableau[i][j] = v
+        expo[v - 1] += 1
+        _fill_tableaux(lam, m, tableau, ni, nj, expo, poly)
+        expo[v - 1] -= 1
 
 
 def character_product(a: dict[tuple[int, ...], int],

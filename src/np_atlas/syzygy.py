@@ -54,7 +54,7 @@ from .geometry import (
     quotient_ranks,
 )
 from .partitions import _conjugate, check_int, check_ints, check_type, contains
-from .schur import SchurSummand, _lr_fillings, _sorted_summands, partitions_of
+from .schur import SchurSummand, _lr_fillings, _partitions, _sorted_summands
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not_certified"
@@ -92,7 +92,7 @@ def schur_complex_term(shape: FlagShape, a: tuple[int, ...], level: int,
     twist = (a[level - 1],) * level + a[level:]
     items = []
     if j <= sum(alpha):
-        for rho in partitions_of(j, max_length=ranks[level]):
+        for rho in _partitions(j, ranks[level]):
             # skew_decompose's walk, read behind this function's own checks
             inner = _conjugate(rho)
             if contains(alpha, inner):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 from math import prod
@@ -5,13 +6,15 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from np_atlas.geometry import parse_variety
+from np_atlas.geometry import parse_variety, restriction_surjectivity_check
 from np_atlas.partitions import contains, normalize, pad, weyl_dimension
 from np_atlas.schur import (
     SchurSummand,
     _lr_fillings,
     _lr_skeleton,
     _mult_in_product,
+    _partitions,
+    _schur_character,
     _sub_diagrams,
     character_product,
     filtration_quotients,
@@ -246,24 +249,90 @@ def test_shapes_sharing_a_skeleton_walk_alike():
 
 def test_products_share_skeletons():
     # the 210 products of tensor_decompose over partitions of 9 and 5 walk 210
-    # shapes; the 7 walked nu and 9 forced-row counts give 63 skeletons
+    # shapes uncached, so the walk cache stays empty; the 7 walked nu and 9
+    # forced-row counts still give 63 skeletons
     _lr_fillings.cache_clear()
     _lr_skeleton.cache_clear()
     for mu in partitions_of(9):
         for nu in partitions_of(5):
             tensor_decompose(mu, nu, len(mu) + len(nu))
-    assert _lr_fillings.cache_info().misses == 210
+    info = _lr_fillings.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert _lr_skeleton.cache_info().misses == 63
 
 
+# sha256 of the repr of every (mu, nu, m, tensor_decompose(mu, nu, m)) for mu and
+# nu of weight <= 5, () included, and m = 0..len(mu) + len(nu), recorded from the
+# code that cached every product walk
+TENSOR_DIGEST = "c71d9dcd66ffc196ce7a6992c336aa5f41f4b4da187003ffec1e4e2f21ed0495"
+# sha256 of the repr of every (outer, cap, sub-diagrams in order) for outer of
+# weight <= 8 and caps 0..4, recorded from the generator that _sub_diagrams was
+SUB_DIAGRAMS_DIGEST = "54fb93f1b5f8c0679c233802327c0d968d7264095fe8711d609d2ef7926b8bc6"
+
+
+def test_tensor_decompose_pinned():
+    # the uncached product walk, with every truncation to m rows
+    records = [(mu, nu, m, tensor_decompose(mu, nu, m))
+               for mu in all_shapes(5) for nu in all_shapes(5)
+               for m in range(len(mu) + len(nu) + 1)]
+    assert len(records) == 1957
+    assert sha256_of_repr(records) == TENSOR_DIGEST
+
+
 def test_sub_diagrams_are_the_contained_partitions():
+    records = []
     for outer in all_shapes(8):
         for cap in range(5):
-            subs = list(_sub_diagrams(outer, cap))
+            subs = _sub_diagrams(outer, cap)
+            assert type(subs) is tuple, (outer, cap)  # shared by every caller
             assert len(subs) == len(set(subs)), (outer, cap)
             expected = {rho for w in range(sum(outer) + 1)
                         for rho in partitions_of(w, max_length=cap) if contains(outer, rho)}
             assert set(subs) == expected, (outer, cap)
+            records.append((outer, cap, subs))
+    assert len(records) == 335
+    assert sha256_of_repr(records) == SUB_DIAGRAMS_DIGEST
+
+
+def test_cached_partitions_match_partitions_of():
+    for n in range(13):
+        for m in range(n + 1):
+            cached = _partitions(n, m)
+            assert type(cached) is tuple, (n, m)  # shared by every caller
+            assert cached == tuple(partitions_of(n, max_length=m)), (n, m)
+            assert _partitions(n, m) is cached
+
+
+def test_schur_layer_leaves_no_cyclic_garbage():
+    # each call frees everything it allocates by reference counting alone, so
+    # with the collector off it finds nothing afterwards; the caches are cleared
+    # first, so every call does its work
+    spec = parse_variety("sfl(3,1;8)")
+    shape = parse_variety("sfl(3,2,1;8)").shape
+    calls = [
+        lambda: list(partitions_of(6, max_length=3)),
+        lambda: _sub_diagrams((3, 2, 1), 2),
+        lambda: schur_character((3, 1), 3),
+        lambda: filtration_quotients((3, 2, 1), (2, 2, 2)),
+        lambda: restriction_surjectivity_check(spec, (2, 1)),
+        lambda: tensor_decompose((3, 1), (2, 1), 4),
+        lambda: schur_complex_term(shape, (15, 10, 5), 2, 3),
+    ]
+    for cache in (_lr_fillings, _lr_skeleton, _mult_in_product, _partitions,
+                  _schur_character, _sub_diagrams):
+        cache.cache_clear()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    found = []
+    try:
+        for call in calls:
+            call()
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found == [0] * len(calls)
 
 
 def test_filtration_walks_each_skew_shape_once():
