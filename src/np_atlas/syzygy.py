@@ -24,7 +24,8 @@ ranks are the differences of the FlagShape's dims, with 0 after the last,
 which that record's checks already make positive ints, so it reads the
 cached threshold without np_threshold's checks of p and the ranks.
 Threshold and certificate records are built in C from their field tuples,
-with no Python frame per record.
+with no Python frame per record.  A certificate keeps its checked query as
+fields (spec, line bundle, gap, p); only to_json_dict builds its JSON dicts.
 The G2 certifier replaces closed forms with an exhaustive Bott-Borel-Weil
 sweep: it builds the six Koszul twists once per checked line bundle, sweeps
 them one at a time, and evaluates each distinct tailed twist once.  It reads
@@ -187,7 +188,10 @@ def _threshold(family: str, ranks: tuple[int, ...], p: int) -> tuple[ThresholdRe
 class NpCertificate(NamedTuple):
     """One-sided syzygy certificate: not-certified never asserts failure."""
 
-    query: dict
+    spec: VarietySpec
+    line_bundle: tuple[int, ...]
+    gap: int
+    p: int
     verdict: str
     clause: str
     threshold: Fraction
@@ -199,15 +203,14 @@ class NpCertificate(NamedTuple):
         return self.verdict == CERTIFIED
 
     def to_json_dict(self) -> dict:
-        # one unpacking and one ratio call read every field; the query's dicts
-        # and lists are copied, so the caller owns every container it gets
-        query, verdict, clause, threshold, witness_config, trace = self
+        # one unpacking and one ratio call read every field
+        spec, line_bundle, gap, p, verdict, clause, threshold, witness_config, trace = self
         num, den = threshold.as_integer_ratio()
-        shape = query["shape"]
+        shape = {"n": spec.shape.n, "dims": list(spec.shape.dims)}
         return {
             "schema_version": SCHEMA_VERSION,
-            "query": dict(query, shape=dict(shape, dims=shape["dims"][:]),
-                          line_bundle=query["line_bundle"][:]),
+            "query": {"family": spec.family.value, "shape": shape,
+                      "line_bundle": list(line_bundle), "gap": gap, "p": p},
             "verdict": verdict,
             "clause": clause,
             "threshold": {"num": num, "den": den},
@@ -216,7 +219,7 @@ class NpCertificate(NamedTuple):
         }
 
 
-# Builds a certificate from its six fields in C, as _threshold_result does.
+# Builds a certificate from its nine fields in C, as _threshold_result does.
 _np_certificate = functools.partial(tuple.__new__, NpCertificate)
 
 
@@ -243,15 +246,9 @@ def _certificate(spec: VarietySpec, a: tuple[int, ...], l: int, p: int, clause: 
                  threshold: Fraction, witness_config: tuple[int, ...],
                  trace: tuple) -> NpCertificate:
     """The certificate of a query: clause names the rule that certified it, or is None."""
-    query = {
-        "family": spec.family.value,
-        "shape": {"n": spec.shape.n, "dims": list(spec.shape.dims)},
-        "line_bundle": list(a),
-        "gap": l,
-        "p": p,
-    }
     verdict = NOT_CERTIFIED if clause is None else CERTIFIED
-    return _np_certificate((query, verdict, clause or "none", threshold, witness_config, trace))
+    return _np_certificate((spec, a, l, p, verdict, clause or "none", threshold,
+                            witness_config, trace))
 
 
 def np_certify(spec: VarietySpec, a: tuple[int, ...], p: int) -> NpCertificate:

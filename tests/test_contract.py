@@ -20,9 +20,12 @@ must raise exactly "{name} must be >= {least}, got {least - 1}".
 
 JSON_RECORDS builds one record of each kind that has to_json_dict, and every
 dict and list reachable from the dict it returns must be the caller's own.
+Those records, and every tuple result of a CALLS entry, reach no dict or
+list, and the same call twice gives equal records with equal hashes.
 """
 
 import copy
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -284,6 +287,23 @@ def test_json_dicts_are_the_callers_own(name):
         else:
             item.append("edited")
     assert record.to_json_dict() == expected
+
+
+# every exported call whose result is a tuple, then every record with to_json_dict
+TUPLE_RESULTS = {f"call-{name}": functools.partial(getattr(np_atlas, name), *args)
+                 for name, args in CALLS.items()
+                 if args is not None and isinstance(getattr(np_atlas, name)(*args), tuple)}
+TUPLE_RESULTS.update((f"json-{name}", make) for name, make in JSON_RECORDS.items())
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_RESULTS))
+def test_records_hold_no_mutable_container_and_hash(name):
+    # a dict or list inside a record could be edited after its checks ran;
+    # the same call twice gives equal records with equal hashes
+    record = TUPLE_RESULTS[name]()
+    assert _containers(record, []) == []
+    again = TUPLE_RESULTS[name]()
+    assert record == again and hash(record) == hash(again)
 
 
 def test_a_record_lookalike_is_not_certified_from():

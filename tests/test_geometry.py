@@ -308,7 +308,7 @@ def test_ample_and_nef_follow_the_least_gap(query):
         with pytest.raises(ValueError, match=re.escape(f"line bundle {a} is not ample")):
             np_certify(spec, a, 1)
     else:
-        assert np_certify(spec, a, 1).query["gap"] == gap
+        assert np_certify(spec, a, 1).gap == gap
     if spec.family is not Family.A:
         if gap < 1:
             with pytest.raises(ValueError, match=re.escape(f"line bundle {a} is not ample")):

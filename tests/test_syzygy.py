@@ -12,6 +12,7 @@ from np_atlas.bott import BlockedWeight, _degree, bbw_cohomology, flag_dimension
 from np_atlas.geometry import (
     Family,
     FlagShape,
+    _g2_twists,
     parse_variety,
     quotient_ranks,
 )
@@ -317,7 +318,7 @@ def bcd_query(draw):
 def test_np_certify_monotone_in_gap(query):
     spec, gaps, p = query
     cert = np_certify(spec, suffix_sums(gaps), p)
-    assert cert.query["gap"] == min(gaps)
+    assert cert.gap == min(gaps)
     if cert.certified:
         assert np_certify(spec, suffix_sums([g + 1 for g in gaps]), p).certified
 
@@ -415,6 +416,37 @@ def test_g2_verdict_is_gap_at_least_p():
                 assert g2_np_certify(spec, a, p).certified == (l >= p), (token, p, l)
 
 
+@st.composite
+def g2_tailed_twist(draw):
+    """G2_X with a = (a0,), or G2_P with a0 > a1 >= 1; a twist j in 0..5; and a
+    tail as g2_np_certify adds it, weakly decreasing on G2_X."""
+    g2x = draw(st.booleans())
+    a0 = draw(st.integers(1 if g2x else 2, 14))
+    a = (a0,) if g2x else (a0, draw(st.integers(1, a0 - 1)))
+    first = draw(st.integers(0, 20))
+    tail = (first, draw(st.integers(0, first if g2x else 20)))
+    return parse_variety("g2x" if g2x else "g2p"), a, draw(st.integers(0, 5)), tail
+
+
+@given(g2_tailed_twist())
+def test_g2_degree_has_a_window_form(query):
+    # after the shift by (1, ..., 7) the rank-5 block of twist j is the interval
+    # [a0 - j - 5, a0 - j] without a0 - 2j, so a tail entry e past it adds one
+    # inversion per block entry below e; G2_P's rank-1 blocks add [e6 < e7]
+    spec, a, j, tail = query
+    g2p = spec.family is Family.G2_P
+    w = _g2_twists(spec, a)[j]
+    *head, e6, e7 = (x - i for i, x in enumerate(w.concat(), 1))
+    e6, e7 = e6 + tail[0], e7 + tail[1]
+    a0 = a[0]
+    lo, hole = a0 - j - 5, a0 - 2 * j
+    if e6 == e7 or any(lo <= e <= a0 - j and e != hole for e in (e6, e7)):
+        window = None
+    else:
+        window = sum(min(max(e - lo, 0), 6) - (e > hole) for e in (e6, e7)) + (g2p and e6 < e7)
+    assert _degree(head + [e6, e7], w.ranks) == window
+
+
 def test_certificate_trace_is_the_rows_within_one_of_the_threshold():
     """The trace rule, restated with Fraction arithmetic, read cold (both caches
     cleared, the certificate first) and warm."""
@@ -464,7 +496,7 @@ def test_certified_line_bundle_has_picard_rank_arity(query):
         assert "line-bundle coefficients" in str(exc) and len(a) != spec.shape.k
         return
     if cert.certified:
-        assert len(cert.query["line_bundle"]) == spec.shape.k
+        assert len(cert.line_bundle) == spec.shape.k
 
 
 def test_np_certify_validation():
